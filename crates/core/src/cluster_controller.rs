@@ -3,7 +3,8 @@
 //! or in lockstep (one decision stream reconfigures every shard).
 //!
 //! This is the SOPHIA/OtterTune deployment shape at cluster scale: the
-//! expensive artifacts (surrogate model, GA search) are shared, while
+//! expensive artifacts (surrogate model, the policy table of GA
+//! searches built by the first controller) are shared, while
 //! the *policy* of how many configurations the cluster runs at once is
 //! a mode switch. Independent mode lets shards with skewed workloads
 //! diverge (a hot read shard can run a read-optimized config while a
@@ -151,20 +152,11 @@ impl<'t> ClusterController<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::CollectionPlan;
     use crate::evaluator::EvalContext;
-    use crate::tuner::TunerConfig;
+    use crate::tuner::{fitted_fixture, TunerConfig};
 
-    fn fitted_tuner() -> RafikiTuner {
-        let mut cfg = TunerConfig::fast();
-        cfg.collection = CollectionPlan {
-            configurations: 3,
-            read_ratios: vec![0.0, 0.5, 1.0],
-            ..CollectionPlan::default()
-        };
-        let mut tuner = RafikiTuner::new(EvalContext::small(), cfg);
-        tuner.fit().expect("fit");
-        tuner
+    fn fitted_tuner() -> &'static RafikiTuner {
+        &fitted_fixture().0
     }
 
     #[test]
@@ -183,7 +175,7 @@ mod tests {
     fn independent_shards_tune_separately() {
         let tuner = fitted_tuner();
         let mut cluster = ClusterController::new(
-            &tuner,
+            tuner,
             ControllerConfig::default(),
             2,
             TuningMode::Independent,
@@ -211,7 +203,7 @@ mod tests {
     fn lockstep_switch_applies_to_every_shard() {
         let tuner = fitted_tuner();
         let mut cluster =
-            ClusterController::new(&tuner, ControllerConfig::default(), 3, TuningMode::Lockstep)
+            ClusterController::new(tuner, ControllerConfig::default(), 3, TuningMode::Lockstep)
                 .expect("cluster");
         let d = cluster.observe_window(1, 0, 0.9).expect("decision");
         assert!(d.decision.reoptimized);
@@ -234,7 +226,7 @@ mod tests {
     fn out_of_range_shard_panics() {
         let tuner = fitted_tuner();
         let cluster = ClusterController::new(
-            &tuner,
+            tuner,
             ControllerConfig::default(),
             2,
             TuningMode::Independent,

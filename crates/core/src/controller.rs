@@ -1,7 +1,10 @@
 //! The online reconfiguration controller: watches the workload's read
-//! ratio per window (15 minutes for MG-RAST) and re-runs the GA search
-//! whenever it shifts, applying a new configuration when the predicted
-//! gain justifies the switch.
+//! ratio per window (15 minutes for MG-RAST) and, whenever it shifts,
+//! looks the new ratio up in the tuner's policy table
+//! ([`RafikiTuner::policy`], one GA search per 0.05 read-ratio bucket,
+//! all run before the first window), applying the bucket's
+//! configuration when the predicted gain justifies the switch. No
+//! search runs inside [`OnlineController::observe_window`].
 //!
 //! This is the "online stage" of §3.1 step 5 plus the dynamics the
 //! introduction motivates: *"large step changes in workloads are rapidly
@@ -23,7 +26,8 @@ pub struct ControllerConfig {
     pub min_predicted_gain: f64,
     /// Fraction of one window's throughput lost when reconfiguring (the
     /// restart/settle cost; the paper leaves live reconfiguration to
-    /// future work, so we charge a conservative penalty).
+    /// future work). **Declared, not yet charged:** nothing reads this
+    /// field — the switch rule is `gain >= min_predicted_gain` alone.
     pub reconfiguration_penalty: f64,
     /// Proactive mode (the paper's future-work §6 extension): learn a
     /// regime-Markov workload forecaster online and tune for the
@@ -49,7 +53,10 @@ pub struct WindowDecision {
     pub window: usize,
     /// Observed read ratio.
     pub read_ratio: f64,
-    /// Whether the controller re-ran the GA this window.
+    /// Whether the controller consulted the policy table this window:
+    /// the first window, an observed read-ratio shift, or (proactive
+    /// mode) a forecast shift. Not a GA run — the table's searches all
+    /// happened in [`OnlineController::new`].
     pub reoptimized: bool,
     /// Whether the configuration actually changed.
     pub switched: bool,
@@ -67,7 +74,8 @@ pub struct WindowDecision {
 pub struct ControllerReport {
     /// Per-window decisions.
     pub decisions: Vec<WindowDecision>,
-    /// Number of GA re-optimizations.
+    /// Number of windows that consulted the policy table (decisions
+    /// with `reoptimized` set).
     pub reoptimizations: usize,
     /// Number of configuration switches.
     pub switches: usize,
@@ -86,16 +94,17 @@ pub struct OnlineController<'t> {
 }
 
 impl<'t> OnlineController<'t> {
-    /// Creates a controller starting from the default configuration.
+    /// Creates a controller starting from the default configuration,
+    /// and builds the tuner's policy table if this is its first
+    /// controller — so the searches are paid here, at start-up, and
+    /// never while a window closes.
     ///
     /// # Errors
     ///
     /// Returns [`TunerError::NotFitted`] when the tuner has not been
     /// fitted.
     pub fn new(tuner: &'t RafikiTuner, cfg: ControllerConfig) -> Result<Self, TunerError> {
-        if tuner.surrogate().is_none() {
-            return Err(TunerError::NotFitted);
-        }
+        tuner.policy()?;
         Ok(OnlineController {
             tuner,
             cfg,
@@ -115,6 +124,12 @@ impl<'t> OnlineController<'t> {
     /// mode).
     pub fn forecaster(&self) -> &RegimeMarkovForecaster {
         &self.forecaster
+    }
+
+    /// Surrogate-predicted throughput of `genome` at `read_ratio`, on
+    /// the batched path the GA itself scores populations with.
+    fn predicted(&self, read_ratio: f64, genome: &[f64]) -> Result<f64, TunerError> {
+        Ok(self.tuner.predict_many(read_ratio, &[genome.to_vec()])?[0])
     }
 
     /// Feeds one observed workload window; returns the decision taken.
@@ -146,6 +161,8 @@ impl<'t> OnlineController<'t> {
         let forecast_shift =
             self.cfg.proactive && (target_rr - read_ratio).abs() >= self.cfg.rr_change_threshold;
 
+        let space = self.tuner.space().ok_or(TunerError::NotFitted)?;
+        let active_genome = space.genome_of(&self.active);
         let mut reoptimized = false;
         let mut switched = false;
         let rationale;
@@ -158,46 +175,42 @@ impl<'t> OnlineController<'t> {
             } else {
                 "observed rr shift"
             };
-            let space = self.tuner.space().ok_or(TunerError::NotFitted)?;
-            let candidate = self.tuner.optimize(target_rr)?;
-            let active_genome = space.genome_of(&self.active);
-            // Predictions ride the batched surrogate path (predict_many),
-            // so controller decisions exercise the same code as the GA.
-            let active_pred = self
-                .tuner
-                .predict_many(read_ratio, std::slice::from_ref(&active_genome))?[0];
+            // Only the choice of candidate is quantized to a bucket: it
+            // is scored at the exact target ratio, so the gain test
+            // compares two predictions for the workload at hand.
+            let bucket = RafikiTuner::policy_bucket(target_rr);
+            let candidate = &self.tuner.policy()?[bucket];
+            let candidate_pred = self.predicted(target_rr, &candidate.genome)?;
+            let active_pred = self.predicted(read_ratio, &active_genome)?;
             let gain = if active_pred > 0.0 {
-                (candidate.predicted_throughput - active_pred) / active_pred
+                (candidate_pred - active_pred) / active_pred
             } else {
                 f64::INFINITY
             };
+            let consulted = format!("{trigger}; policy rr={:.2}", RafikiTuner::policy_rr(bucket));
             if candidate.config != self.active && gain >= self.cfg.min_predicted_gain {
-                self.active = candidate.config;
-                self.active_predicted = candidate.predicted_throughput;
+                self.active = candidate.config.clone();
+                self.active_predicted = candidate_pred;
                 switched = true;
                 rationale = format!(
-                    "switch: {trigger}; predicted gain {:.1}% >= min {:.1}%",
+                    "switch: {consulted}; predicted gain {:.1}% >= min {:.1}%",
                     gain * 100.0,
                     self.cfg.min_predicted_gain * 100.0
                 );
             } else {
                 self.active_predicted = active_pred;
                 rationale = if candidate.config == self.active {
-                    format!("hold: {trigger}; GA re-derived the active config")
+                    format!("hold: {consulted}; re-derived the active config")
                 } else {
                     format!(
-                        "hold: {trigger}; predicted gain {:.1}% < min {:.1}%",
+                        "hold: {consulted}; predicted gain {:.1}% < min {:.1}%",
                         gain * 100.0,
                         self.cfg.min_predicted_gain * 100.0
                     )
                 };
             }
         } else {
-            let space = self.tuner.space().ok_or(TunerError::NotFitted)?;
-            let genome = space.genome_of(&self.active);
-            self.active_predicted = self
-                .tuner
-                .predict_many(read_ratio, std::slice::from_ref(&genome))?[0];
+            self.active_predicted = self.predicted(read_ratio, &active_genome)?;
             rationale = format!(
                 "hold: rr change below threshold {:.2}",
                 self.cfg.rr_change_threshold
@@ -258,13 +271,18 @@ impl<'t> OnlineController<'t> {
 mod tests {
     use super::*;
     use crate::evaluator::EvalContext;
-    use crate::tuner::TunerConfig;
+    use crate::tuner::{fitted_fixture, TunerConfig};
     use rafiki_workload::MgRastModel;
 
-    fn fitted_tuner() -> RafikiTuner {
-        let mut tuner = RafikiTuner::new(EvalContext::small(), TunerConfig::fast());
-        tuner.fit().expect("fit succeeds");
-        tuner
+    fn fitted_tuner() -> &'static RafikiTuner {
+        &fitted_fixture().0
+    }
+
+    /// The trace subscriber is process-global and tests run on parallel
+    /// threads: the tests that install one take turns.
+    fn subscriber_turn() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     #[test]
@@ -276,7 +294,7 @@ mod tests {
     #[test]
     fn stable_workload_avoids_reoptimization() {
         let tuner = fitted_tuner();
-        let mut ctrl = OnlineController::new(&tuner, ControllerConfig::default()).unwrap();
+        let mut ctrl = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
         let d0 = ctrl.observe_window(0, 0.8).unwrap();
         assert!(d0.reoptimized, "first window always optimizes");
         let d1 = ctrl.observe_window(1, 0.82).unwrap();
@@ -288,7 +306,7 @@ mod tests {
     #[test]
     fn decisions_explain_themselves() {
         let tuner = fitted_tuner();
-        let mut ctrl = OnlineController::new(&tuner, ControllerConfig::default()).unwrap();
+        let mut ctrl = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
         let d0 = ctrl.observe_window(0, 0.9).unwrap();
         assert!(
             d0.rationale.contains("first window"),
@@ -324,9 +342,10 @@ mod tests {
         const RR_A: f64 = 0.912_345;
         const RR_B: f64 = 0.112_345;
         let tuner = fitted_tuner();
+        let _turn = subscriber_turn();
         let sink = std::sync::Arc::new(rafiki_obs::MemorySink::new());
         rafiki_obs::set_subscriber(sink.clone(), rafiki_obs::Level::Info);
-        let mut ctrl = OnlineController::new(&tuner, ControllerConfig::default()).unwrap();
+        let mut ctrl = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
         ctrl.observe_window(0, RR_A).unwrap();
         ctrl.observe_window(1, RR_B).unwrap();
         rafiki_obs::clear_subscriber();
@@ -356,7 +375,7 @@ mod tests {
             proactive: true,
             ..ControllerConfig::default()
         };
-        let mut ctrl = OnlineController::new(&tuner, cfg).unwrap();
+        let mut ctrl = OnlineController::new(tuner, cfg).unwrap();
         // Teach it a strict read-heavy/write-heavy alternation.
         for w in 0..16 {
             let rr = if w % 2 == 0 { 0.95 } else { 0.05 };
@@ -366,7 +385,7 @@ mod tests {
         // read-heavy next window; proactive mode should already be running
         // a read-oriented configuration (leveled compaction).
         let d = ctrl.observe_window(16, 0.05).unwrap();
-        assert!(d.reoptimized, "forecast shift must trigger the GA");
+        assert!(d.reoptimized, "forecast shift must consult the policy");
         assert_eq!(
             ctrl.active_config().compaction_method,
             rafiki_engine::CompactionMethod::Leveled,
@@ -378,7 +397,7 @@ mod tests {
     #[test]
     fn trace_run_reports_switch_counts() {
         let tuner = fitted_tuner();
-        let mut ctrl = OnlineController::new(&tuner, ControllerConfig::default()).unwrap();
+        let mut ctrl = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
         let trace = MgRastModel {
             days: 1,
             seed: 5,
@@ -395,5 +414,77 @@ mod tests {
             "only {} reoptimizations",
             report.reoptimizations
         );
+    }
+
+    #[test]
+    fn decisions_name_the_policy_bucket() {
+        let mut ctrl = OnlineController::new(fitted_tuner(), ControllerConfig::default()).unwrap();
+        let d0 = ctrl.observe_window(0, 0.86).unwrap();
+        assert!(
+            d0.rationale.contains("first window; policy rr=0.85"),
+            "got: {}",
+            d0.rationale
+        );
+        let d1 = ctrl.observe_window(1, 0.84).unwrap();
+        assert!(!d1.rationale.contains("policy"), "got: {}", d1.rationale);
+    }
+
+    #[test]
+    fn shifts_into_one_bucket_do_not_flap() {
+        // 0.86 and 0.874 are both nearest the 0.85 bucket. Two separate
+        // searches at those ratios would return two near-identical
+        // winners and reconfigure the engine to move between them.
+        let mut ctrl = OnlineController::new(fitted_tuner(), ControllerConfig::default()).unwrap();
+        let d0 = ctrl.observe_window(0, 0.86).unwrap();
+        assert!(d0.switched, "got: {}", d0.rationale);
+        let after_first = ctrl.active_config().clone();
+        let d1 = ctrl.observe_window(1, 0.72).unwrap();
+        assert!(!d1.reoptimized, "0.14 is inside the dead band");
+        let d2 = ctrl.observe_window(2, 0.874).unwrap();
+        assert!(d2.reoptimized && !d2.switched);
+        assert_eq!(
+            d2.rationale,
+            "hold: observed rr shift; policy rr=0.85; re-derived the active config"
+        );
+        assert_eq!(ctrl.active_config(), &after_first);
+    }
+
+    #[test]
+    fn no_search_runs_while_a_trace_is_observed() {
+        let tuner = fitted_tuner();
+        // A seed no other test uses, so this trace's read ratios tell
+        // its spans and events from those of tests running beside it.
+        let trace = MgRastModel {
+            days: 1,
+            seed: 20_171_211,
+            ..MgRastModel::default()
+        }
+        .generate();
+        let is_mine = |e: &rafiki_obs::Event| {
+            e.fields.iter().any(|(k, v)| {
+                *k == "read_ratio"
+                    && matches!(v, rafiki_obs::Value::F64(x)
+                        if trace.windows.iter().any(|w| w.read_ratio == *x))
+            })
+        };
+        // The policy is searched here, before anything is recorded.
+        let mut ctrl = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
+        let _turn = subscriber_turn();
+        let sink = std::sync::Arc::new(rafiki_obs::MemorySink::new());
+        rafiki_obs::set_subscriber(sink.clone(), rafiki_obs::Level::Debug);
+        let report = ctrl.run_trace(&trace).unwrap();
+        rafiki_obs::clear_subscriber();
+        assert!(report.reoptimizations > 1);
+        let events = sink.events();
+        let decisions = events
+            .iter()
+            .filter(|e| e.target == "controller" && e.name == "decision" && is_mine(e))
+            .count();
+        assert_eq!(decisions, trace.windows.len(), "the sink saw the run");
+        let searches = events
+            .iter()
+            .filter(|e| e.target == "tuner" && e.name.starts_with("optimize") && is_mine(e))
+            .count();
+        assert_eq!(searches, 0, "observe_window ran a search");
     }
 }

@@ -14,8 +14,9 @@
 //!    ([`rafiki_neural::SurrogateModel`]) mapping {workload, config} to
 //!    throughput.
 //! 5. **Configuration optimization** — [`tuner`] searches the space with a
-//!    genetic algorithm over the surrogate; [`controller`] re-optimizes
-//!    online whenever the observed workload shifts, and
+//!    genetic algorithm over the surrogate, once per read-ratio bucket
+//!    for the online policy table; [`controller`] looks the table up
+//!    whenever the observed workload shifts, and
 //!    [`cluster_controller`] scales that decision loop across N engine
 //!    shards (independent or lockstep tuning).
 //!

@@ -9,7 +9,9 @@ use rafiki_engine::{param_catalog, EngineConfig, ParamId, ParamInfo};
 use rafiki_ga::{GaConfig, Optimizer};
 use rafiki_neural::{Matrix, Surrogate, SurrogateConfig, SurrogateModel};
 use rafiki_obs as obs;
+use rafiki_stats::parallel_indexed;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Tuner-level errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,6 +128,14 @@ pub struct OptimizedConfig {
     pub surrogate_evaluations: usize,
 }
 
+/// Read-ratio buckets in the policy table: rr = 0.00, 0.05, …, 1.00.
+/// The 0.05 step is a third of the controller's default
+/// `rr_change_threshold` dead band (0.15), so a finer table would only
+/// distinguish workloads the controller does not act on; and 21
+/// searches built in parallel cost ~50 ms of start-up on two cores
+/// where 101 would cost ~0.5 s.
+const POLICY_BUCKETS: usize = 21;
+
 /// The Rafiki middleware tuner.
 #[derive(Debug)]
 pub struct RafikiTuner {
@@ -135,6 +145,9 @@ pub struct RafikiTuner {
     surrogate: Option<SurrogateModel>,
     dataset: Option<PerfDataset>,
     screening: Option<ScreeningReport>,
+    /// [`RafikiTuner::policy`], built on first use; emptied whenever the
+    /// model it was searched over is replaced.
+    policy: OnceLock<Vec<OptimizedConfig>>,
 }
 
 impl RafikiTuner {
@@ -147,6 +160,7 @@ impl RafikiTuner {
             surrogate: None,
             dataset: None,
             screening: None,
+            policy: OnceLock::new(),
         }
     }
 
@@ -223,6 +237,7 @@ impl RafikiTuner {
         self.space = Some(space);
         self.dataset = Some(dataset);
         self.surrogate = Some(surrogate);
+        self.policy = OnceLock::new();
         Ok(report)
     }
 
@@ -237,10 +252,18 @@ impl RafikiTuner {
         self.space = Some(space);
         self.surrogate = Some(surrogate);
         self.dataset = Some(dataset);
+        self.policy = OnceLock::new();
     }
 
-    /// Phase 5 (online): searches the configuration space for the given
-    /// workload read ratio using the GA over the surrogate.
+    /// Phase 5: searches the configuration space for the given workload
+    /// read ratio using the GA over the surrogate.
+    ///
+    /// This is the exact search — thousands of surrogate evaluations,
+    /// milliseconds of wall time — and what the CLI, the experiments and
+    /// offline tuning jobs call. The online path does not: the
+    /// controller answers window closes from [`RafikiTuner::policy`],
+    /// whose every entry is this function's result at a bucket's read
+    /// ratio.
     ///
     /// # Errors
     ///
@@ -343,6 +366,50 @@ impl RafikiTuner {
         })
     }
 
+    /// The policy table the online controller decides from: entry `i` is
+    /// exactly [`RafikiTuner::optimize`] at [`RafikiTuner::policy_rr`]`(i)`
+    /// (`optimize` is a pure function of the fitted model and the read
+    /// ratio, so the table can be searched before the first window
+    /// closes). The first call builds the whole table, one search per
+    /// bucket across the host's cores; later calls are a load.
+    /// [`RafikiTuner::fit`] and [`RafikiTuner::install`] drop it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TunerError::NotFitted`] before [`RafikiTuner::fit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a search worker thread panics.
+    pub fn policy(&self) -> Result<&[OptimizedConfig], TunerError> {
+        if self.space.is_none() || self.surrogate.is_none() {
+            return Err(TunerError::NotFitted);
+        }
+        Ok(self.policy.get_or_init(|| {
+            let span = obs::span("tuner", "policy", obs::Level::Info);
+            let table = parallel_indexed(POLICY_BUCKETS, |bucket| {
+                self.optimize(Self::policy_rr(bucket))
+                    .expect("fitted: checked above")
+            })
+            .expect("a policy search does not panic");
+            span.close(vec![("buckets", obs::Value::U64(POLICY_BUCKETS as u64))]);
+            table
+        }))
+    }
+
+    /// The read ratio policy bucket `bucket` was searched at.
+    pub fn policy_rr(bucket: usize) -> f64 {
+        bucket as f64 / (POLICY_BUCKETS - 1) as f64
+    }
+
+    /// The policy bucket nearest `read_ratio`. A ratio halfway between
+    /// two buckets goes to the upper one (0.025 → bucket 1); ratios
+    /// outside `[0, 1]` — a forecast can overshoot — go to the end
+    /// buckets.
+    pub fn policy_bucket(read_ratio: f64) -> usize {
+        (read_ratio.clamp(0.0, 1.0) * (POLICY_BUCKETS - 1) as f64).round() as usize
+    }
+
     /// Predicts throughput for a (read ratio, genome) pair with the
     /// trained surrogate.
     ///
@@ -386,6 +453,20 @@ impl RafikiTuner {
     }
 }
 
+/// The `TunerConfig::fast()` tuner on `EvalContext::small()` that this
+/// crate's unit tests borrow, with the report of its one `fit`. Fitting
+/// is seed-deterministic and takes ~20 s, so each test binary does it
+/// once instead of once per test.
+#[cfg(test)]
+pub(crate) fn fitted_fixture() -> &'static (RafikiTuner, TunerReport) {
+    static FITTED: OnceLock<(RafikiTuner, TunerReport)> = OnceLock::new();
+    FITTED.get_or_init(|| {
+        let mut tuner = RafikiTuner::new(EvalContext::small(), TunerConfig::fast());
+        let report = tuner.fit().expect("fit succeeds");
+        (tuner, report)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +475,7 @@ mod tests {
     fn optimize_before_fit_errors() {
         let tuner = RafikiTuner::new(EvalContext::small(), TunerConfig::fast());
         assert_eq!(tuner.optimize(0.5).unwrap_err(), TunerError::NotFitted);
+        assert_eq!(tuner.policy().unwrap_err(), TunerError::NotFitted);
         assert_eq!(
             tuner.predict(0.5, &[0.0; 5]).unwrap_err(),
             TunerError::NotFitted
@@ -402,9 +484,7 @@ mod tests {
 
     #[test]
     fn fast_fit_and_optimize_improve_over_default() {
-        let ctx = EvalContext::small();
-        let mut tuner = RafikiTuner::new(ctx, TunerConfig::fast());
-        let report = tuner.fit().expect("fit succeeds");
+        let (tuner, report) = fitted_fixture();
         assert_eq!(report.samples_collected, 8 * 5);
         assert_eq!(report.key_parameters.len(), 5);
 
@@ -447,9 +527,7 @@ mod tests {
 
     #[test]
     fn predict_many_matches_scalar_predict() {
-        let ctx = EvalContext::small();
-        let mut tuner = RafikiTuner::new(ctx, TunerConfig::fast());
-        tuner.fit().expect("fit succeeds");
+        let (tuner, _) = fitted_fixture();
         let base = tuner.space().unwrap().default_genome();
         let mut other = base.clone();
         other[0] = 1.0 - other[0].min(1.0);
@@ -464,9 +542,7 @@ mod tests {
 
     #[test]
     fn optimization_is_deterministic_per_seed() {
-        let ctx = EvalContext::small();
-        let mut tuner = RafikiTuner::new(ctx, TunerConfig::fast());
-        tuner.fit().expect("fit succeeds");
+        let (tuner, _) = fitted_fixture();
         let a = tuner.optimize_seeded(0.5, 3).unwrap();
         let b = tuner.optimize_seeded(0.5, 3).unwrap();
         assert_eq!(a, b);
@@ -474,9 +550,7 @@ mod tests {
 
     #[test]
     fn ga_strategy_is_bit_identical_to_builtin_optimize() {
-        let ctx = EvalContext::small();
-        let mut tuner = RafikiTuner::new(ctx, TunerConfig::fast());
-        tuner.fit().expect("fit succeeds");
+        let (tuner, _) = fitted_fixture();
         for seed in [0u64, 7, 42] {
             let builtin = tuner.optimize_seeded(0.6, seed).unwrap();
             let ga_cfg = GaConfig {
@@ -490,15 +564,103 @@ mod tests {
         }
     }
 
+    /// What `policy()` must hold for `tuner`'s current model: one exact
+    /// search per bucket, in bucket order.
+    fn sequential_policy(tuner: &RafikiTuner) -> Vec<OptimizedConfig> {
+        (0..POLICY_BUCKETS)
+            .map(|b| tuner.optimize(RafikiTuner::policy_rr(b)).expect("fitted"))
+            .collect()
+    }
+
+    #[test]
+    fn policy_entries_are_the_exact_searches_at_their_buckets() {
+        let (tuner, _) = fitted_fixture();
+        let policy = tuner.policy().expect("fitted");
+        assert_eq!(policy.len(), 21);
+        // Built across threads, equal bit for bit to the sequential loop.
+        assert_eq!(policy, sequential_policy(tuner));
+        // Built once: a second call hands out the same table.
+        assert!(std::ptr::eq(policy, tuner.policy().expect("fitted")));
+    }
+
+    #[test]
+    fn policy_buckets_round_to_nearest_and_clamp() {
+        assert_eq!(RafikiTuner::policy_rr(0), 0.0);
+        assert_eq!(RafikiTuner::policy_rr(17), 0.85);
+        assert_eq!(RafikiTuner::policy_rr(20), 1.0);
+        assert_eq!(RafikiTuner::policy_bucket(0.0), 0);
+        assert_eq!(RafikiTuner::policy_bucket(0.024_999), 0);
+        assert_eq!(RafikiTuner::policy_bucket(0.025), 1, "halfway goes up");
+        assert_eq!(RafikiTuner::policy_bucket(0.874), 17);
+        assert_eq!(RafikiTuner::policy_bucket(1.0), 20);
+        // A forecast may overshoot the unit interval.
+        assert_eq!(RafikiTuner::policy_bucket(1.2), 20);
+        assert_eq!(RafikiTuner::policy_bucket(-0.3), 0);
+        for b in 0..POLICY_BUCKETS {
+            assert_eq!(RafikiTuner::policy_bucket(RafikiTuner::policy_rr(b)), b);
+        }
+    }
+
+    #[test]
+    fn a_new_model_drops_the_policy() {
+        // A tuner small enough to fit twice: 2 x 2 short measurements,
+        // two tiny networks, a 4 x 8 GA.
+        let keys = 2_000;
+        let ctx = EvalContext {
+            bench: rafiki_workload::BenchmarkSpec {
+                duration_secs: 0.3,
+                warmup_secs: 0.1,
+                clients: 8,
+                sample_window_secs: 0.1,
+            },
+            workload: rafiki_workload::WorkloadSpec {
+                initial_keys: keys,
+                ..rafiki_workload::WorkloadSpec::with_read_ratio(0.5)
+            },
+            preload_keys: keys,
+            ..EvalContext::small()
+        };
+        let mut cfg = TunerConfig::fast();
+        cfg.collection.configurations = 2;
+        cfg.collection.read_ratios = vec![0.0, 1.0];
+        cfg.surrogate.ensemble_size = 2;
+        cfg.surrogate.train.max_epochs = 5;
+        cfg.ga.population = 8;
+        cfg.ga.generations = 4;
+        let mut tuner = RafikiTuner::new(ctx, cfg);
+        tuner.fit().expect("fit succeeds");
+        let first = tuner.policy().expect("fitted").to_vec();
+        assert_eq!(first, sequential_policy(&tuner));
+
+        // A second fit — here with other initial weights — replaces the
+        // model, so the table searched over the old one must go.
+        tuner.cfg.surrogate.seed = 99;
+        tuner.fit().expect("fit succeeds");
+        assert!(tuner.policy.get().is_none(), "fit keeps a stale policy");
+        let second = tuner.policy().expect("fitted").to_vec();
+        assert_eq!(second, sequential_policy(&tuner));
+        assert_ne!(first, second, "the refit changed nothing; test is vacuous");
+
+        // So does installing a model trained elsewhere.
+        let (other, _) = fitted_fixture();
+        tuner.install(
+            other.space().expect("fitted").clone(),
+            other.surrogate().expect("fitted").clone(),
+            other.dataset().expect("fitted").clone(),
+        );
+        assert!(tuner.policy.get().is_none(), "install keeps a stale policy");
+        let third = tuner.policy().expect("fitted").to_vec();
+        assert_eq!(third, sequential_policy(&tuner));
+        assert_ne!(second, third);
+    }
+
     #[test]
     fn every_strategy_yields_a_valid_engine_config() {
         // All four strategies, searched over the full widened catalog:
         // whatever genome wins must quantize into an EngineConfig that
         // passes validation (the latent decoder in particular must not
         // smuggle out-of-range values past repair).
-        let ctx = EvalContext::small();
-        let mut tuner = RafikiTuner::new(ctx, TunerConfig::fast());
-        tuner.fit().expect("fit succeeds");
+        let (tuner, _) = fitted_fixture();
         let wide = crate::search_space::ConfigSearchSpace::new(
             rafiki_engine::param_catalog(),
             EngineConfig::default(),

@@ -161,7 +161,7 @@ pub struct StatsReport {
     pub krd_mean: Option<f64>,
     /// Characterization windows closed so far.
     pub windows_closed: u64,
-    /// Controller re-optimizations (GA runs).
+    /// Windows on which the controller consulted its policy table.
     pub reoptimizations: u64,
     /// Applied configuration switches.
     pub reconfigurations: u64,

@@ -103,7 +103,7 @@ pub struct ServeReport {
     pub operations: u64,
     /// Characterization windows closed.
     pub windows_closed: u64,
-    /// Controller re-optimizations (GA runs).
+    /// Windows on which the controller consulted its policy table.
     pub reoptimizations: u64,
     /// Configurations applied to live engines.
     pub reconfigurations: u64,

@@ -29,6 +29,7 @@ use rafiki_workload::{OnlineCharacterizer, Operation, WindowSummary};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// One message on a shard's op queue.
 pub(crate) enum ShardRequest {
@@ -100,8 +101,10 @@ pub(crate) struct EventLog {
 }
 
 /// Everything the shard workers share. The mutexes here are *off* the
-/// op hot path: the controller lock is taken once per closed window,
-/// the log and last-window locks once per window close or reconfigure.
+/// op hot path: the controller lock is taken once per closed window
+/// and held for a policy lookup and two surrogate predictions
+/// (microseconds — no search runs under it), the log and last-window
+/// locks once per window close or reconfigure.
 pub(crate) struct ClusterShared<'t> {
     pub controller: Mutex<ClusterController<'t>>,
     pub log: Mutex<EventLog>,
@@ -136,9 +139,15 @@ struct ShardMetrics {
     reconfigurations_total_shard: Arc<Counter>,
     read_ratio: Arc<Gauge>,
     read_ratio_shard: Arc<Gauge>,
+    controller_errors_total: Arc<Counter>,
+    controller_errors_total_shard: Arc<Counter>,
     /// Completed-window latencies (the filling window merges in at close).
     latency_us: Arc<HistogramHandle>,
     latency_us_shard: Arc<HistogramHandle>,
+    /// Wall time of each window close's decision: waiting for the
+    /// cluster-wide controller lock plus deciding under it. One series
+    /// for the cluster, like the lock it times.
+    decide_us: Arc<HistogramHandle>,
 }
 
 impl ShardMetrics {
@@ -157,8 +166,12 @@ impl ShardMetrics {
                 .counter(&labeled("serve_reconfigurations_total")),
             read_ratio: registry.gauge("serve_read_ratio"),
             read_ratio_shard: registry.gauge(&labeled("serve_read_ratio")),
+            controller_errors_total: registry.counter("serve_controller_errors_total"),
+            controller_errors_total_shard: registry
+                .counter(&labeled("serve_controller_errors_total")),
             latency_us: registry.histogram("serve_op_latency_us"),
             latency_us_shard: registry.histogram(&labeled("serve_op_latency_us")),
+            decide_us: registry.histogram("serve_decide_us"),
         }
     }
 }
@@ -367,17 +380,38 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
         }
         // One controller-lock acquisition per closed window; released
         // before any engine reconfiguration is applied.
-        let decision = {
+        let asked = Instant::now();
+        let (outcome, mode) = {
             let mut controller = lock(&self.shared.controller);
-            let mode = controller.mode();
-            match controller.observe_window(self.shard, window.index, window.read_ratio) {
-                // The tuner was checked at construction, so this cannot
-                // fail; a defensive skip keeps the daemon serving.
-                Err(_) => return,
-                Ok(decision) => (decision, mode),
+            (
+                controller.observe_window(self.shard, window.index, window.read_ratio),
+                controller.mode(),
+            )
+        };
+        self.metrics
+            .decide_us
+            .record(asked.elapsed().as_micros() as u64);
+        let decision = match outcome {
+            Ok(decision) => decision,
+            // The tuner was checked at construction, so this should not
+            // happen; if it does, the window stays closed and counted
+            // and the shard keeps serving on its current configuration.
+            Err(e) => {
+                self.metrics.controller_errors_total.inc();
+                self.metrics.controller_errors_total_shard.inc();
+                obs::event(
+                    "serve",
+                    "controller_error",
+                    obs::Level::Error,
+                    vec![
+                        ("shard", Value::U64(self.shard as u64)),
+                        ("window", Value::U64(window.index as u64)),
+                        ("error", Value::str(e.to_string())),
+                    ],
+                );
+                return;
             }
         };
-        let (decision, mode) = decision;
         if decision.decision.reoptimized {
             self.reoptimizations += 1;
             self.metrics.reoptimizations_total.inc();

@@ -63,7 +63,7 @@ fn main() {
             d.window,
             d.read_ratio,
             format!("{:?}", Regime::classify(d.read_ratio)),
-            if d.reoptimized { "GA " } else { "-  " },
+            if d.reoptimized { "tbl" } else { "-  " },
             if d.switched { "switch" } else { "      " },
             d.predicted_throughput,
         );

@@ -5,11 +5,17 @@
 use rafiki::{ControllerConfig, EvalContext, OnlineController, RafikiTuner, TunerConfig};
 use rafiki_engine::EngineConfig;
 use rafiki_workload::MgRastModel;
+use std::sync::OnceLock;
 
-fn fitted() -> RafikiTuner {
-    let mut tuner = RafikiTuner::new(EvalContext::small(), TunerConfig::fast());
-    tuner.fit().expect("fit succeeds");
-    tuner
+/// Fitting is seed-deterministic and every test here only borrows the
+/// tuner, so the ~20 s fit is paid once for the whole binary.
+fn fitted() -> &'static RafikiTuner {
+    static FITTED: OnceLock<RafikiTuner> = OnceLock::new();
+    FITTED.get_or_init(|| {
+        let mut tuner = RafikiTuner::new(EvalContext::small(), TunerConfig::fast());
+        tuner.fit().expect("fit succeeds");
+        tuner
+    })
 }
 
 #[test]
@@ -70,7 +76,7 @@ fn read_heavy_optimization_prefers_leveled_compaction() {
 #[test]
 fn controller_follows_the_trace_and_improves_throughput() {
     let tuner = fitted();
-    let mut controller = OnlineController::new(&tuner, ControllerConfig::default()).unwrap();
+    let mut controller = OnlineController::new(tuner, ControllerConfig::default()).unwrap();
     let trace = MgRastModel {
         days: 1,
         seed: 21,
