@@ -2,10 +2,7 @@
 //!
 //! Every `BENCH_*.json` at the repository root must parse as JSON and
 //! carry `"measured": true` — a placeholder or hand-edited record fails
-//! the build instead of silently shipping unmeasured numbers. The serve
-//! record must additionally carry the shard-count dimension: a
-//! `shard_cells` sweep covering 1, 2 and 4 shards with measured
-//! throughput, plus the `host_cores` it was measured on. Extra paths
+//! the build instead of silently shipping unmeasured numbers. Extra paths
 //! can be passed as arguments (the CI job points this at freshly
 //! regenerated copies too); with no arguments the known committed set
 //! is checked.
@@ -18,12 +15,7 @@ use std::path::{Path, PathBuf};
 /// The committed benchmark records this repository promises to keep
 /// measured. Adding a `BENCH_*.json` to the repo root means adding it
 /// here, or the gate will not protect it.
-const COMMITTED: &[&str] = &[
-    "BENCH_grid.json",
-    "BENCH_search.json",
-    "BENCH_serve.json",
-    "BENCH_bakeoff.json",
-];
+const COMMITTED: &[&str] = &["BENCH_grid.json", "BENCH_search.json", "BENCH_bakeoff.json"];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -50,9 +42,6 @@ fn check(path: &Path) -> Result<(), String> {
     }
     match json.get("experiment") {
         Some(Json::Str(name)) => {
-            if name == "bench_serve" {
-                check_shard_dimension(&json)?;
-            }
             if name == "grid_speedup" {
                 check_grid_record(&json)?;
             }
@@ -168,34 +157,6 @@ fn check_bakeoff_record(json: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// The serve record's shard-count dimension: `shard_cells` must cover
-/// shards 1, 2 and 4, each with a positive measured throughput, and the
-/// record must say how many cores the sweep ran on.
-fn check_shard_dimension(json: &Json) -> Result<(), String> {
-    let cells = json
-        .get("shard_cells")
-        .and_then(Json::as_arr)
-        .ok_or("has no \"shard_cells\" array (regenerate with a sharding-aware bench_serve)")?;
-    for expected in [1u64, 2, 4] {
-        let cell = cells
-            .iter()
-            .find(|c| c.get("shards").and_then(Json::as_u64) == Some(expected))
-            .ok_or(format!("shard_cells has no entry for {expected} shard(s)"))?;
-        match cell.get("ops_per_sec").and_then(Json::as_f64) {
-            Some(tput) if tput > 0.0 => {}
-            _ => {
-                return Err(format!(
-                    "shard_cells entry for {expected} shard(s) has no positive ops_per_sec"
-                ))
-            }
-        }
-    }
-    match json.get("host_cores").and_then(Json::as_u64) {
-        Some(cores) if cores >= 1 => Ok(()),
-        _ => Err("has no \"host_cores\" >= 1".to_string()),
-    }
 }
 
 fn main() {

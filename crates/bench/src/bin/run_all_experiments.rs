@@ -27,7 +27,6 @@ fn main() {
         ("Fig 10", experiments::fig10_throughput_variance::run),
         ("search speedup", experiments::search_speedup::run),
         ("grid speedup", experiments::grid_speedup::run),
-        ("serve wire path", experiments::bench_serve::run),
         ("Table 3", experiments::table3_multiserver::run),
         ("Table 4", experiments::table4_scylladb::run),
         ("ablation", experiments::ablation_param_count::run),

@@ -5,7 +5,6 @@
 pub mod ablation_param_count;
 pub mod ablation_surrogates;
 pub mod bake_off;
-pub mod bench_serve;
 pub mod common;
 pub mod fig10_throughput_variance;
 pub mod fig3_workload_pattern;

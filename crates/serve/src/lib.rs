@@ -11,10 +11,11 @@
 //! - [`protocol`] — typed request/response frames (`op`, `batch`,
 //!   `stats`, `config`, `shutdown`);
 //! - [`server`] — the daemon: a consistent-hash ring routes every
-//!   operation to one of N engine shards, each a dedicated worker
-//!   thread that runs its ops to completion on a private simulated
-//!   engine, feeds its own streaming
-//!   [`rafiki_workload::OnlineCharacterizer`], and hands each closed
+//!   operation to one of N engine shards, each behind its own mutex.
+//!   The connection thread that read a frame runs each shard's slice of
+//!   it itself, to completion on that shard's private simulated engine;
+//!   each shard feeds its own streaming
+//!   [`rafiki_workload::OnlineCharacterizer`] and hands each closed
 //!   window to the shared [`rafiki::ClusterController`], whose switches
 //!   are applied to the live shard engines via `Engine::reconfigure`;
 //! - [`client`] — a blocking client plus load-generator mode, used by
@@ -49,7 +50,7 @@ pub use client::Client;
 pub use protocol::{
     BatchResult, ClusterEvent, ConfigReport, ConfigSummary, LatencySummary, MetricsHistogram,
     MetricsReport, ParamChange, ReconfigEvent, Request, Response, ShardConfig, ShardStats,
-    StatsReport, WindowActivity, MAX_BATCH,
+    StatsReport, WindowActivity, MAX_BATCH, MAX_FRAME_BYTES,
 };
 pub use server::{ServeConfig, ServeReport, Server};
 pub use wire::{Json, JsonError};

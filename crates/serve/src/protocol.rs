@@ -43,6 +43,15 @@ use rafiki_workload::{Key, OpKind, Operation};
 /// the time one client can hold the engine lock.
 pub const MAX_BATCH: usize = 1024;
 
+/// Longest frame line, newline excluded, the daemon reads; a client that
+/// sends more without a newline gets one `error` frame and is
+/// disconnected. The longest canonical batch element is 36 bytes
+/// (`[4,18446744073709551615,4294967295],` — code, u64 key, u32 len), so
+/// a full [`MAX_BATCH`] frame is at most ~37 KB; four times that
+/// (147,456 bytes) leaves room for the whitespace the generic parser
+/// accepts between tokens.
+pub const MAX_FRAME_BYTES: usize = 4 * 36 * MAX_BATCH;
+
 /// A client-to-server frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

@@ -4,50 +4,50 @@
 //!
 //! One [`Server`] owns a fitted [`RafikiTuner`] plus the listening
 //! socket. [`Server::run`] builds the live pipeline — a seeded
-//! [`HashRing`], one `ShardWorker` thread per shard (each with its own
+//! [`HashRing`], one mutex-guarded `Shard` per shard (each with its own
 //! [`Engine`](rafiki_engine::Engine), `OnlineCharacterizer` and latency
 //! histograms), and a shared [`rafiki::ClusterController`] — and serves
 //! connections on scoped threads until a `shutdown` frame arrives.
 //!
 //! # Sharded execution model
 //!
-//! Connection handlers never touch an engine. They route each operation
-//! by consistent hash to its owning shard's MPSC queue and wait for the
-//! latency reply; a `batch` frame is partitioned per shard, scattered,
-//! and gathered back into frame order. Each worker executes its queue
-//! strictly sequentially, stepping every op to completion on its private
-//! simulated clock — so there is **no lock on the op hot path** (the
-//! pre-sharding daemon serialized every op through one daemon-wide
-//! mutex), and each shard's engine is quiescent between queue messages,
-//! which is when characterization windows close and
-//! [`Engine::reconfigure`](rafiki_engine::Engine::reconfigure) applies —
-//! per shard, without stalling the others. With `--shards 1` the
-//! observable behavior (stats, events, metrics) is identical to the old
-//! single-engine daemon. See `DESIGN.md` §10.
+//! A connection thread routes each operation of a frame by consistent
+//! hash into per-shard slice buffers it reuses across frames, then runs
+//! every non-empty slice itself, under that shard's mutex: shards that
+//! are free first (`try_lock`), then blocking on the first busy one. The
+//! latencies go straight into the frame's results, so an op never
+//! changes threads and a frame pays no wake-up beyond its socket I/O. A
+//! shard steps each op to completion before its lock is released, so
+//! its engine is quiescent whenever the lock is free; characterization
+//! windows close, and
+//! [`Engine::reconfigure`](rafiki_engine::Engine::reconfigure) applies,
+//! per shard, without stalling the others. The price is that one
+//! frame's slices run one after another: a single connection gets no
+//! parallelism inside a frame, while separate connections run in
+//! parallel. With `--shards 1` the observable behavior (stats, events,
+//! metrics) is identical to the old single-engine daemon. See
+//! `DESIGN.md` §10.
 
 use crate::protocol::{
     BatchResult, ClusterEvent, ConfigReport, LatencySummary, MetricsHistogram, MetricsReport,
-    Request, Response, ShardConfig, ShardStats, StatsReport, WindowActivity,
+    Request, Response, ShardConfig, ShardStats, StatsReport, WindowActivity, MAX_FRAME_BYTES,
 };
-use crate::shard::{
-    lock, ClusterShared, EventLog, OpsReply, ShardRequest, ShardSnapshot, ShardWorker,
-};
+use crate::shard::{lock, ClusterShared, EventLog, Shard, ShardSnapshot};
 use crate::wire::{write_all_vectored, Json};
 use rafiki::{ClusterController, ControllerConfig, RafikiTuner, TuningMode};
 use rafiki_engine::HashRing;
 use rafiki_obs::Registry;
 use rafiki_stats::StreamingHistogram;
 use rafiki_workload::Operation;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::Duration;
 
-/// How often blocked reads (and idle shard workers) wake up to check
-/// the shutdown flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+/// How often blocked reads and the accept loop wake up to check the
+/// shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// How many already-buffered frames a connection drains per read before
 /// writing responses back (responses for a burst leave in one
 /// [`write_all_vectored`] call).
@@ -74,7 +74,8 @@ pub struct ServeConfig {
     /// Payload size of preloaded rows, in bytes.
     pub preload_payload: u32,
     /// Engine shards. Each shard is a full engine + characterizer +
-    /// tuning loop on its own worker thread. 0 is treated as 1.
+    /// tuning loop behind its own mutex, run by whichever connection
+    /// thread has ops for it. 0 is treated as 1.
     pub shards: usize,
     /// Tune shards in lockstep (one shared decision stream reconfigures
     /// every shard) instead of independently.
@@ -159,66 +160,68 @@ impl Server {
     }
 
     /// Serves connections until a `shutdown` frame arrives (or
-    /// [`Server::stop`] is called), then drains every connection, winds
-    /// down the shard workers, and reports the lifetime totals.
+    /// [`Server::stop`] is called), then drains every connection and
+    /// reports the lifetime totals.
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop socket errors. Per-connection I/O errors
-    /// only drop that connection.
+    /// Propagates accept-loop socket errors, and fails if a shard's
+    /// preload panics. Per-connection I/O errors only drop that
+    /// connection.
     pub fn run(&self) -> io::Result<ServeReport> {
-        let shards = self.cfg.shards.max(1);
+        let shard_count = self.cfg.shards.max(1);
         let mode = if self.cfg.lockstep {
             TuningMode::Lockstep
         } else {
             TuningMode::Independent
         };
-        let controller = ClusterController::new(&self.tuner, self.cfg.controller, shards, mode)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{e:?}")))?;
-        let ring = HashRing::with_shards(shards, RING_SEED);
+        let controller =
+            ClusterController::new(&self.tuner, self.cfg.controller, shard_count, mode)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{e:?}")))?;
+        let ring = HashRing::with_shards(shard_count, RING_SEED);
         let shared = ClusterShared {
             controller: Mutex::new(controller),
             log: Mutex::new(EventLog::default()),
             last_window: Mutex::new(WindowActivity::default()),
             registry: Registry::new(),
-            worker_stop: AtomicBool::new(false),
         };
-        if shards > 1 {
+        if shard_count > 1 {
             // Record the topology on the audit trail: how much of the
             // keyspace moved relative to a one-shard-smaller ring (the
             // scale-out this deployment represents).
-            let prev = HashRing::with_shards(shards - 1, RING_SEED);
+            let prev = HashRing::with_shards(shard_count - 1, RING_SEED);
             let sample = self.cfg.preload_keys.max(1 << 16);
             let moved_fraction = prev.moved_fraction(&ring, sample);
             lock(&shared.log).cluster.push(ClusterEvent {
                 kind: "scale_out".to_string(),
                 window: 0,
-                shards: shards as u64,
+                shards: shard_count as u64,
                 moved_fraction,
                 detail: format!(
-                    "cluster bootstrapped at {shards} shards; {:.1}% of keys \
+                    "cluster bootstrapped at {shard_count} shards; {:.1}% of keys \
                      moved relative to a {}-shard ring",
                     moved_fraction * 100.0,
-                    shards - 1
+                    shard_count - 1
                 ),
             });
         }
-        let (txs, rxs): (Vec<Sender<ShardRequest>>, Vec<Receiver<ShardRequest>>) =
-            (0..shards).map(|_| mpsc::channel()).unzip();
+        // Per-shard preloads run in parallel, one scoped thread each.
+        let shards = std::thread::scope(|scope| {
+            let builders: Vec<_> = (0..shard_count)
+                .map(|shard| {
+                    let (ring, cfg, shared) = (&ring, &self.cfg, &shared);
+                    scope.spawn(move || Shard::new(shard, ring, cfg, shared))
+                })
+                .collect();
+            builders
+                .into_iter()
+                .map(|b| b.join().map(Mutex::new))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .map_err(|_| io::Error::other("a shard preload panicked"))?;
 
         self.listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| -> io::Result<ServeReport> {
-            let mut workers = Vec::with_capacity(shards);
-            for (shard, rx) in rxs.into_iter().enumerate() {
-                let peers = txs.clone();
-                let (ring, cfg, shared) = (&ring, &self.cfg, &shared);
-                workers.push(scope.spawn(move || {
-                    // Built inside the thread so per-shard preloads run
-                    // in parallel.
-                    ShardWorker::new(shard, ring, cfg, shared, peers).run(rx)
-                }));
-            }
-
+        std::thread::scope(|scope| {
             let mut conns = Vec::new();
             let accepted = loop {
                 if self.stop.load(Ordering::SeqCst) {
@@ -226,11 +229,10 @@ impl Server {
                 }
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        let shard_txs = txs.clone();
-                        let (ring, shared, stop) = (&ring, &shared, &self.stop);
+                        let (ring, shards, shared, stop) = (&ring, &shards, &shared, &self.stop);
                         conns.push(scope.spawn(move || {
                             // I/O errors just drop this connection.
-                            let _ = serve_connection(stream, ring, shard_txs, shared, stop);
+                            let _ = serve_connection(stream, ring, shards, shared, stop);
                         }));
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -240,43 +242,60 @@ impl Server {
                     Err(e) => break Err(e),
                 }
             };
-            // Shutdown order matters: connections first (they may still
-            // be waiting on worker replies), then the workers. Workers
-            // drain any queued cross-shard applies before exiting.
+            // Joined by hand: a connection that panicked mid-op (and so
+            // poisoned a shard) must not take the daemon down with it.
             for conn in conns {
                 let _ = conn.join();
             }
-            drop(txs);
-            shared.worker_stop.store(true, Ordering::SeqCst);
-            let mut report = ServeReport {
-                operations: 0,
-                windows_closed: 0,
-                reoptimizations: 0,
-                reconfigurations: 0,
-            };
-            for worker in workers {
-                let fin = worker.join().unwrap_or_default();
-                report.operations += fin.operations;
-                report.windows_closed += fin.windows_closed;
-                report.reoptimizations += fin.reoptimizations;
-            }
-            accepted?;
-            report.reconfigurations = lock(&shared.log).events.len() as u64;
-            Ok(report)
-        })
+            accepted
+        })?;
+
+        let mut report = ServeReport {
+            operations: 0,
+            windows_closed: 0,
+            reoptimizations: 0,
+            reconfigurations: lock(&shared.log).events.len() as u64,
+        };
+        for shard in shards {
+            // Every connection is gone, so only counters are read: a
+            // poisoned shard never serves again, but what it did counts.
+            let s = shard
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .snapshot();
+            report.operations += s.operations;
+            report.windows_closed += s.windows_closed;
+            report.reoptimizations += s.reoptimizations;
+        }
+        Ok(report)
     }
 }
 
-/// A worker's queue or reply channel died (it panicked); the connection
-/// cannot make progress.
-fn dead_worker() -> io::Error {
-    io::Error::new(io::ErrorKind::BrokenPipe, "shard worker exited")
+/// A shard's mutex is poisoned: a panic mid-op may have left its engine
+/// half-stepped, so the frame fails and the connection drops.
+fn dead_shard() -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "shard panicked mid-operation")
+}
+
+/// Locks one shard, failing on a poisoned one (see [`dead_shard`]).
+fn lock_shard<'a, 't, 'c>(
+    shard: &'a Mutex<Shard<'t, 'c>>,
+) -> io::Result<MutexGuard<'a, Shard<'t, 'c>>> {
+    shard.lock().map_err(|_| dead_shard())
+}
+
+/// Appends to `line` at most what is left of one frame's byte budget
+/// (`MAX_FRAME_BYTES` plus the newline), so a client that never sends a
+/// newline cannot grow the buffer without bound.
+fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
+    let budget = (MAX_FRAME_BYTES + 1).saturating_sub(line.len());
+    reader.take(budget as u64).read_line(line)
 }
 
 fn serve_connection(
     stream: TcpStream,
     ring: &HashRing,
-    txs: Vec<Sender<ShardRequest>>,
+    shards: &[Mutex<Shard<'_, '_>>],
     shared: &ClusterShared<'_>,
     stop: &AtomicBool,
 ) -> io::Result<()> {
@@ -288,13 +307,16 @@ fn serve_connection(
     // encoded responses (newline included).
     let mut lines: Vec<String> = vec![String::new()];
     let mut outs: Vec<String> = Vec::new();
+    // One slice of `(frame index, op)` pairs per shard, reused across
+    // frames (empty between them).
+    let mut slices: Vec<Vec<(usize, Operation)>> = vec![Vec::new(); shards.len()];
 
     loop {
         lines[0].clear();
         // Accumulate one full line; a read timeout mid-frame keeps the
         // partial line and re-polls so no bytes are lost.
         let appended = loop {
-            match reader.read_line(&mut lines[0]) {
+            match read_frame(&mut reader, &mut lines[0]) {
                 Ok(n) => break n,
                 Err(e)
                     if matches!(
@@ -323,7 +345,7 @@ fn serve_connection(
                 lines.push(String::new());
             }
             lines[count].clear();
-            match reader.read_line(&mut lines[count]) {
+            match read_frame(&mut reader, &mut lines[count]) {
                 Ok(0) => break,
                 Ok(_) => count += 1,
                 Err(_) => break, // next blocking read surfaces the error
@@ -333,11 +355,22 @@ fn serve_connection(
         let mut bye = false;
         let mut n_out = 0;
         for line in lines.iter().take(count) {
-            if line.trim().is_empty() {
+            let oversized = line.len() > MAX_FRAME_BYTES && !line.ends_with('\n');
+            let response = if oversized {
+                // There is no resyncing mid-frame: answer in band, then
+                // close.
+                Response::Error {
+                    message: format!(
+                        "frame exceeds {MAX_FRAME_BYTES} bytes without a newline; \
+                         closing the connection"
+                    ),
+                }
+            } else if line.trim().is_empty() {
                 continue;
-            }
-            let response = respond(line, ring, &txs, shared, stop)?;
-            bye = response == Response::Bye;
+            } else {
+                respond(line, ring, shards, &mut slices, shared, stop)?
+            };
+            bye = oversized || response == Response::Bye;
             if outs.len() == n_out {
                 outs.push(String::new());
             }
@@ -366,7 +399,8 @@ fn serve_connection(
 fn respond(
     line: &str,
     ring: &HashRing,
-    txs: &[Sender<ShardRequest>],
+    shards: &[Mutex<Shard<'_, '_>>],
+    slices: &mut [Vec<(usize, Operation)>],
     shared: &ClusterShared<'_>,
     stop: &AtomicBool,
 ) -> io::Result<Response> {
@@ -392,61 +426,16 @@ fn respond(
         }
     };
     Ok(match request {
-        Request::Op(op) => {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            txs[ring.shard_of(op.key.0)]
-                .send(ShardRequest::Ops {
-                    ops: vec![(0, op)],
-                    reply: reply_tx,
-                })
-                .map_err(|_| dead_worker())?;
-            let reply = reply_rx.recv().map_err(|_| dead_worker())?;
-            Response::Done {
-                latency_us: reply.latencies[0].1,
-            }
-        }
-        Request::Batch(items) => {
-            // Scatter the frame's ops to their owning shards (each
-            // executes its slice sequentially, shards in parallel), then
-            // gather the latencies back into frame order.
-            let mut results: Vec<BatchResult> = Vec::with_capacity(items.len());
-            let mut per_shard: Vec<Vec<(usize, Operation)>> = vec![Vec::new(); txs.len()];
-            for (index, item) in items.into_iter().enumerate() {
-                match item {
-                    Ok(op) => {
-                        per_shard[ring.shard_of(op.key.0)].push((index, op));
-                        // Placeholder, overwritten by the shard's reply.
-                        results.push(BatchResult::Done { latency_us: 0 });
-                    }
-                    Err(message) => results.push(BatchResult::Error { message }),
-                }
-            }
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let mut expected = 0usize;
-            for (shard, ops) in per_shard.into_iter().enumerate() {
-                if ops.is_empty() {
-                    continue;
-                }
-                txs[shard]
-                    .send(ShardRequest::Ops {
-                        ops,
-                        reply: reply_tx.clone(),
-                    })
-                    .map_err(|_| dead_worker())?;
-                expected += 1;
-            }
-            drop(reply_tx);
-            for _ in 0..expected {
-                let OpsReply { latencies } = reply_rx.recv().map_err(|_| dead_worker())?;
-                for (index, latency_us) in latencies {
-                    results[index] = BatchResult::Done { latency_us };
-                }
-            }
-            Response::Batch(results)
-        }
-        Request::Stats => Response::Stats(stats_of(&gather_snapshots(txs)?, shared)),
+        Request::Op(op) => match run_frame(vec![Ok(op)], ring, shards, slices)?.as_slice() {
+            [BatchResult::Done { latency_us }] => Response::Done {
+                latency_us: *latency_us,
+            },
+            _ => unreachable!("a decoded op always completes"),
+        },
+        Request::Batch(items) => Response::Batch(run_frame(items, ring, shards, slices)?),
+        Request::Stats => Response::Stats(stats_of(&snapshots(shards)?, shared)),
         Request::Config => {
-            let snapshots = gather_snapshots(txs)?;
+            let snapshots = snapshots(shards)?;
             let log = lock(&shared.log);
             Response::Config(ConfigReport {
                 active: snapshots[0].active.clone(),
@@ -469,23 +458,62 @@ fn respond(
     })
 }
 
-/// Asks every shard for a state snapshot and gathers the replies in
-/// shard order.
-fn gather_snapshots(txs: &[Sender<ShardRequest>]) -> io::Result<Vec<ShardSnapshot>> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    for tx in txs {
-        tx.send(ShardRequest::Snapshot {
-            reply: reply_tx.clone(),
-        })
-        .map_err(|_| dead_worker())?;
+/// Executes one frame's decoded ops on this thread and returns their
+/// results in frame order. Each op is routed into its shard's slice in
+/// `slices` (the connection's buffers, left empty);
+/// each non-empty slice then runs under its shard's lock — every free
+/// shard first, then blocking on the first busy one, until none is
+/// left. The lockstep applies those slices' window closes decided for
+/// peers run last, one shard lock at a time, so the frame is answered
+/// only after every shard runs the configuration decided for it.
+fn run_frame(
+    items: Vec<Result<Operation, String>>,
+    ring: &HashRing,
+    shards: &[Mutex<Shard<'_, '_>>],
+    slices: &mut [Vec<(usize, Operation)>],
+) -> io::Result<Vec<BatchResult>> {
+    let mut results = Vec::with_capacity(items.len());
+    for (index, item) in items.into_iter().enumerate() {
+        match item {
+            Ok(op) => {
+                slices[ring.shard_of(op.key.0)].push((index, op));
+                // Placeholder, overwritten when the op's slice runs.
+                results.push(BatchResult::Done { latency_us: 0 });
+            }
+            Err(message) => results.push(BatchResult::Error { message }),
+        }
     }
-    drop(reply_tx);
-    let mut snapshots = Vec::with_capacity(txs.len());
-    for _ in 0..txs.len() {
-        snapshots.push(reply_rx.recv().map_err(|_| dead_worker())?);
+    // Lockstep applies the slices' window closes decide for peers.
+    let mut applies = Vec::new();
+    loop {
+        let mut busy = None;
+        for (shard, slice) in slices.iter_mut().enumerate() {
+            if slice.is_empty() {
+                continue;
+            }
+            match shards[shard].try_lock() {
+                Ok(mut guard) => guard.run_slice(slice, &mut results, &mut applies),
+                Err(TryLockError::WouldBlock) => {
+                    busy.get_or_insert(shard);
+                }
+                Err(TryLockError::Poisoned(_)) => return Err(dead_shard()),
+            }
+        }
+        let Some(shard) = busy else { break };
+        lock_shard(&shards[shard])?.run_slice(&mut slices[shard], &mut results, &mut applies);
     }
-    snapshots.sort_by_key(|s| s.shard);
-    Ok(snapshots)
+    for apply in applies {
+        lock_shard(&shards[apply.shard])?.apply(apply);
+    }
+    Ok(results)
+}
+
+/// Snapshots every shard in shard order, holding one lock at a time.
+fn snapshots(shards: &[Mutex<Shard<'_, '_>>]) -> io::Result<Vec<ShardSnapshot>> {
+    shards
+        .iter()
+        .map(|s| Ok(lock_shard(s)?.snapshot()))
+        .collect()
 }
 
 /// Summarizes a latency histogram into the wire form.

@@ -1,23 +1,35 @@
-//! Per-shard engine workers: each shard owns one [`Engine`], one
-//! [`OnlineCharacterizer`], and its latency histograms, and processes
-//! operations from an MPSC queue on a dedicated thread. Connection
-//! handlers route by consistent hash and scatter/gather over these
-//! queues, so no mutex sits on the op hot path.
+//! Per-shard state: each shard owns one [`Engine`], one
+//! [`OnlineCharacterizer`], and its latency histograms. The server holds
+//! the shards as `Vec<Mutex<Shard>>`, and the connection thread that
+//! read a frame runs that frame's slice for each shard itself, under the
+//! shard's mutex — an op never changes threads between its socket read
+//! and its reply.
 //!
 //! # Per-shard quiescence
 //!
-//! A worker handles exactly one queue message at a time and steps every
-//! foreground op to completion before touching the next message, so its
-//! engine is always quiescent *between* messages. Characterization
-//! windows close between ops, and [`Engine::reconfigure`] — whether
-//! triggered by the shard's own window or delivered as a cross-shard
-//! [`ShardRequest::Apply`] from a lockstep decision — therefore always
-//! runs on a quiescent engine. This is the same contract the pre-sharding
-//! daemon enforced with its one-lock-per-frame rule, now held per shard
-//! without any lock on the op path.
+//! A shard's engine is touched only while its mutex is held, and every
+//! op is stepped to completion before the mutex is released, so the
+//! engine is quiescent whenever the lock is free. Characterization
+//! windows close between ops, under the lock, and [`Engine::reconfigure`]
+//! — whether triggered by the shard's own window or by a lockstep
+//! decision taken on a peer's window — therefore always runs on a
+//! quiescent engine. A panic mid-op poisons the mutex, and a poisoned
+//! shard is never served from again: its engine may be half-stepped.
+//!
+//! # Lock order
+//!
+//! No thread ever holds two shard locks. When a window close decides
+//! applies for peer shards, they go into the deciding shard's outbox;
+//! [`Shard::run_slice`] hands them to the connection thread, which
+//! applies each under its target's lock after releasing the deciding
+//! shard's lock and before answering the frame. The cluster mutexes in
+//! [`ClusterShared`] are taken under a shard lock or under none, never
+//! the reverse: the order is shard → controller / log / last_window.
 
-use crate::protocol::{ClusterEvent, ConfigSummary, ParamChange, ReconfigEvent, WindowActivity};
-use crate::server::{ServeConfig, POLL_INTERVAL};
+use crate::protocol::{
+    BatchResult, ClusterEvent, ConfigSummary, ParamChange, ReconfigEvent, WindowActivity,
+};
+use crate::server::ServeConfig;
 use rafiki::{ClusterController, TuningMode};
 use rafiki_engine::{
     Engine, EngineConfig, EngineMetrics, HashRing, OpCompletion, ServerSpec, SimTime,
@@ -26,44 +38,21 @@ use rafiki_obs as obs;
 use rafiki_obs::{Counter, Gauge, HistogramHandle, Registry, Value};
 use rafiki_stats::StreamingHistogram;
 use rafiki_workload::{OnlineCharacterizer, Operation, WindowSummary};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// One message on a shard's op queue.
-pub(crate) enum ShardRequest {
-    /// Execute operations (already routed to this shard), tagged with
-    /// their index in the originating frame, and reply with latencies.
-    Ops {
-        /// `(frame index, operation)` pairs, in frame order.
-        ops: Vec<(usize, Operation)>,
-        /// Where to send the completed latencies.
-        reply: Sender<OpsReply>,
-    },
-    /// Reply with a point-in-time snapshot of the shard's state.
-    Snapshot {
-        /// Where to send the snapshot.
-        reply: Sender<ShardSnapshot>,
-    },
-    /// Reconfigure this shard's engine (a cross-shard apply from a
-    /// lockstep decision taken on another shard's window).
-    Apply {
-        cfg: EngineConfig,
-        window: u64,
-        read_ratio: f64,
-        predicted_throughput: f64,
-    },
+/// A reconfiguration decided on one shard's window close for the shard
+/// named in `shard` (the deciding shard itself, or a lockstep peer).
+pub(crate) struct Apply {
+    pub shard: usize,
+    cfg: EngineConfig,
+    window: u64,
+    read_ratio: f64,
+    predicted_throughput: f64,
 }
 
-/// Latencies for one frame's ops on one shard.
-pub(crate) struct OpsReply {
-    /// `(frame index, latency µs)` pairs, in execution order.
-    pub latencies: Vec<(usize, u64)>,
-}
-
-/// A point-in-time copy of one shard's observable state, shipped to the
-/// connection handler that assembles `stats`/`config` frames. Carries
+/// A point-in-time copy of one shard's observable state, taken under the
+/// shard's lock for the `stats`/`config` frames. Carries
 /// the *sufficient statistics* (`reads`, `distance_sum`,
 /// `distance_count`) so aggregates merge exactly, not approximately.
 #[derive(Debug, Clone)]
@@ -83,14 +72,6 @@ pub(crate) struct ShardSnapshot {
     pub active: ConfigSummary,
 }
 
-/// A shard's lifetime totals, returned when its worker exits.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardFinal {
-    pub operations: u64,
-    pub windows_closed: u64,
-    pub reoptimizations: u64,
-}
-
 /// The reconfiguration audit trail, shared by every shard.
 #[derive(Default)]
 pub(crate) struct EventLog {
@@ -100,8 +81,9 @@ pub(crate) struct EventLog {
     pub cluster: Vec<ClusterEvent>,
 }
 
-/// Everything the shard workers share. The mutexes here are *off* the
-/// op hot path: the controller lock is taken once per closed window
+/// Everything the shards share. The mutexes here are *off* the op hot
+/// path, and each is taken under at most one shard lock, never the
+/// other way round: the controller lock is taken once per closed window
 /// and held for a policy lookup and two surrogate predictions
 /// (microseconds — no search runs under it), the log and last-window
 /// locks once per window close or reconfigure.
@@ -112,22 +94,20 @@ pub(crate) struct ClusterShared<'t> {
     /// (the aggregate `last_window` in `stats` frames).
     pub last_window: Mutex<WindowActivity>,
     pub registry: Registry,
-    /// Tells workers to drain their queues and exit. Only set after
-    /// every connection thread has been joined, so no reply is pending.
-    pub worker_stop: AtomicBool,
 }
 
-/// Locks a cluster mutex, recovering from poisoning (a panicking worker
-/// must not take the whole daemon down).
+/// Locks a cluster mutex, recovering from poisoning (a panic on one
+/// connection must not take the whole daemon down). Shard mutexes are
+/// never locked through this: see the module docs.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Cached handles for the metric series one shard updates on its hot
 /// path: the unlabeled aggregate series plus this shard's
-/// `{shard="N"}`-labeled series. Both are updated by the same
-/// single-threaded worker in the same code path, so per-shard series
-/// sum *exactly* to the aggregate at any observation point.
+/// `{shard="N"}`-labeled series. Both are updated under the shard's lock
+/// in the same code path, so per-shard series sum *exactly* to the
+/// aggregate whenever the cluster is quiescent.
 struct ShardMetrics {
     ops_total: Arc<Counter>,
     ops_total_shard: Arc<Counter>,
@@ -178,7 +158,7 @@ impl ShardMetrics {
 
 /// One shard: an engine preloaded with exactly the keys the hash ring
 /// assigns to it, plus the characterization/tuning state scoped to it.
-pub(crate) struct ShardWorker<'t, 'c> {
+pub(crate) struct Shard<'t, 'c> {
     shard: usize,
     engine: Engine,
     characterizer: OnlineCharacterizer,
@@ -194,14 +174,14 @@ pub(crate) struct ShardWorker<'t, 'c> {
     reconfigurations: u64,
     next_token: u64,
     completions: Vec<OpCompletion>,
-    /// Op-queue senders for every shard (own index included, unused),
-    /// for delivering cross-shard `Apply` messages.
-    peers: Vec<Sender<ShardRequest>>,
+    /// Lockstep applies this shard's window closes decided for peers,
+    /// not yet handed to the connection thread.
+    outbox: Vec<Apply>,
     shared: &'c ClusterShared<'t>,
     metrics: ShardMetrics,
 }
 
-impl<'t, 'c> ShardWorker<'t, 'c> {
+impl<'t, 'c> Shard<'t, 'c> {
     /// Builds the shard: a fresh engine on the controller's starting
     /// configuration, preloaded with the keys `ring` routes here.
     pub(crate) fn new(
@@ -209,7 +189,6 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
         ring: &HashRing,
         cfg: &ServeConfig,
         shared: &'c ClusterShared<'t>,
-        peers: Vec<Sender<ShardRequest>>,
     ) -> Self {
         let initial = lock(&shared.controller).active_config(shard).clone();
         let mut engine = Engine::new(initial, ServerSpec::default());
@@ -220,7 +199,7 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
         }
         let window_start_metrics = *engine.metrics();
         let window_start_clock = engine.clock();
-        ShardWorker {
+        Shard {
             shard,
             engine,
             characterizer: OnlineCharacterizer::new(cfg.window_ops, cfg.krd_capacity),
@@ -234,65 +213,29 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
             reconfigurations: 0,
             next_token: 0,
             completions: Vec::new(),
-            peers,
+            outbox: Vec::new(),
             metrics: ShardMetrics::new(&shared.registry, shard),
             shared,
         }
     }
 
-    /// The worker loop: handle queue messages until `worker_stop` is
-    /// set, then drain whatever is still queued (late lockstep applies
-    /// from peers shutting down concurrently) and report totals.
-    pub(crate) fn run(mut self, rx: Receiver<ShardRequest>) -> ShardFinal {
-        loop {
-            match rx.recv_timeout(POLL_INTERVAL) {
-                Ok(req) => self.handle(req),
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shared.worker_stop.load(Ordering::SeqCst) {
-                        while let Ok(req) = rx.try_recv() {
-                            self.handle(req);
-                        }
-                        return self.finish();
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return self.finish(),
-            }
+    /// Runs one frame's slice for this shard: each `(frame index, op)`
+    /// is stepped to completion in order and its latency written to
+    /// `results` at that index. Leaves `slice` empty for reuse, and moves
+    /// the applies the slice's window closes decided for peers into
+    /// `applies`, for the caller to run once this shard is unlocked.
+    pub(crate) fn run_slice(
+        &mut self,
+        slice: &mut Vec<(usize, Operation)>,
+        results: &mut [BatchResult],
+        applies: &mut Vec<Apply>,
+    ) {
+        for (index, op) in slice.drain(..) {
+            results[index] = BatchResult::Done {
+                latency_us: self.execute_op(op),
+            };
         }
-    }
-
-    fn finish(self) -> ShardFinal {
-        ShardFinal {
-            operations: self.characterizer.operations(),
-            windows_closed: self.windows_closed,
-            reoptimizations: self.reoptimizations,
-        }
-    }
-
-    fn handle(&mut self, req: ShardRequest) {
-        match req {
-            ShardRequest::Ops { ops, reply } => {
-                let mut latencies = Vec::with_capacity(ops.len());
-                for (index, op) in ops {
-                    latencies.push((index, self.execute_op(op)));
-                }
-                // A vanished requester (dropped connection) is not a
-                // worker error.
-                let _ = reply.send(OpsReply { latencies });
-            }
-            ShardRequest::Snapshot { reply } => {
-                let _ = reply.send(self.snapshot());
-            }
-            ShardRequest::Apply {
-                cfg,
-                window,
-                read_ratio,
-                predicted_throughput,
-            } => {
-                // The engine is quiescent between queue messages, so a
-                // cross-shard apply is as safe as a window-close one.
-                self.apply_config(cfg, window, read_ratio, predicted_throughput);
-            }
-        }
+        applies.append(&mut self.outbox);
     }
 
     /// Runs one operation on the simulated clock to completion, feeds
@@ -433,35 +376,33 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
             });
         }
         for (target, cfg) in decision.apply {
+            let apply = Apply {
+                shard: target,
+                cfg,
+                window: window.index as u64,
+                read_ratio: window.read_ratio,
+                predicted_throughput: decision.decision.predicted_throughput,
+            };
             if target == self.shard {
-                self.apply_config(
-                    cfg,
-                    window.index as u64,
-                    window.read_ratio,
-                    decision.decision.predicted_throughput,
-                );
+                self.apply(apply);
             } else {
-                // Peers apply between their own ops — send failure only
-                // happens during shutdown, when the apply is moot.
-                let _ = self.peers[target].send(ShardRequest::Apply {
-                    cfg,
-                    window: window.index as u64,
-                    read_ratio: window.read_ratio,
-                    predicted_throughput: decision.decision.predicted_throughput,
-                });
+                // Taking the peer's lock here would hold two shard locks.
+                self.outbox.push(apply);
             }
         }
     }
 
-    /// Reconfigures this shard's engine (between ops, hence quiescent)
-    /// and records the audit event.
-    fn apply_config(
-        &mut self,
-        cfg: EngineConfig,
-        window: u64,
-        read_ratio: f64,
-        predicted_throughput: f64,
-    ) {
+    /// Reconfigures this shard's engine (called under its lock, between
+    /// ops, hence quiescent) and records the audit event.
+    pub(crate) fn apply(&mut self, apply: Apply) {
+        debug_assert_eq!(apply.shard, self.shard, "apply routed to the wrong shard");
+        let Apply {
+            cfg,
+            window,
+            read_ratio,
+            predicted_throughput,
+            ..
+        } = apply;
         if *self.engine.config() == cfg {
             // A lockstep follower may already run the target config
             // (e.g. it joined after an earlier identical decision).
@@ -490,7 +431,7 @@ impl<'t, 'c> ShardWorker<'t, 'c> {
         });
     }
 
-    fn snapshot(&self) -> ShardSnapshot {
+    pub(crate) fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
             shard: self.shard,
             operations: self.characterizer.operations(),

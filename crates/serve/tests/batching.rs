@@ -1,13 +1,16 @@
 //! Loopback tests for the batched wire path: a batched run must be
-//! indistinguishable from an unbatched one at the engine level, and
-//! no client-side latency sample may be lost to the per-connection
-//! merge batching when a connection closes.
+//! indistinguishable from an unbatched one at the engine level, no
+//! client-side latency sample may be lost to the per-connection merge
+//! batching when a connection closes, and no frame may grow past
+//! `MAX_FRAME_BYTES`.
 
 use rafiki::{CollectionPlan, ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
-use rafiki_serve::{Client, ServeConfig, Server, StatsReport};
+use rafiki_serve::{Client, ServeConfig, Server, StatsReport, MAX_FRAME_BYTES};
 use rafiki_workload::{
-    BenchmarkSpec, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
+    BenchmarkSpec, Key, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const WINDOW_OPS: usize = 300;
@@ -181,6 +184,56 @@ fn stats_request_flushes_the_callers_merge_batch() {
         }
         let stats = client.stats().expect("stats");
         assert_eq!(stats.latency.count, OPS as u64);
+        client.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    });
+}
+
+/// A client that never sends a newline cannot grow the daemon's line
+/// buffer without bound: one byte over `MAX_FRAME_BYTES` gets a single
+/// in-band `error` frame and then EOF, a frame of exactly the cap is
+/// still served, and other connections keep getting `batch` answers.
+#[test]
+fn oversized_frame_gets_an_error_and_the_connection_closes() {
+    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config()).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("server run"));
+        let raw = TcpStream::connect(addr).expect("raw connect");
+        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+        let mut writer = raw;
+        writer
+            .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+            .expect("write oversized frame");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("error frame");
+        assert!(line.starts_with("{\"type\":\"error\""), "got: {line}");
+        line.clear();
+        let n = reader.read_line(&mut line).expect("read after the error");
+        assert_eq!(
+            n, 0,
+            "connection still open after an oversized frame: {line}"
+        );
+
+        // A frame of exactly the cap (padding the generic parser skips)
+        // is answered normally.
+        let raw = TcpStream::connect(addr).expect("second raw connect");
+        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+        let mut writer = raw;
+        let mut stats = String::from("{\"type\":\"stats\"}");
+        stats.push_str(&" ".repeat(MAX_FRAME_BYTES - stats.len()));
+        stats.push('\n');
+        writer
+            .write_all(stats.as_bytes())
+            .expect("write full-size frame");
+        line.clear();
+        reader.read_line(&mut line).expect("stats response");
+        assert!(line.starts_with("{\"type\":\"stats\""), "got: {line}");
+
+        let mut client = Client::connect(addr).expect("connect");
+        let ops: Vec<Operation> = (0..64).map(|k| Operation::read(Key(k))).collect();
+        let latencies = client.batch(&ops).expect("batch after an oversized frame");
+        assert_eq!(latencies.len(), ops.len());
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
     });

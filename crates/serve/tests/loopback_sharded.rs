@@ -248,10 +248,17 @@ fn lockstep_scenario() {
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.run().expect("server run"));
         let mut client = Client::connect(addr).expect("connect");
-        let mut source = ReplaySource::new(ops.clone());
-        client
-            .drive_pipelined(&mut source, ops.len(), 64, 4)
-            .expect("drive");
+        // Apply before answer: a lockstep switch decided while a frame
+        // runs has reached every shard by the time that frame's reply
+        // arrives, so a `config` frame after any reply shows one config.
+        for (frame, chunk) in ops.chunks(64).enumerate() {
+            client.batch(chunk).expect("batch");
+            let shards = client.config().expect("config").shards;
+            assert!(
+                shards.iter().all(|s| s.active == shards[0].active),
+                "shards disagree on their config after frame {frame}"
+            );
+        }
 
         let stats = client.stats().expect("stats");
         let report = client.config().expect("config");

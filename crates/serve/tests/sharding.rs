@@ -1,16 +1,22 @@
 //! Sharding invariants observable through the wire protocol: key→shard
 //! routing is deterministic across daemon restarts, a one-shard cluster
 //! is indistinguishable from the unsharded daemon, per-shard stats sum
-//! exactly to the aggregate, and client pipelining is a transport
-//! optimization only.
+//! exactly to the aggregate, client pipelining is a transport
+//! optimization only, and connections contending for the same shards
+//! lose no op and get no reply out of order.
 
 use rafiki::{CollectionPlan, ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
-use rafiki_serve::{Client, ConfigReport, MetricsReport, ServeConfig, Server, StatsReport};
+use rafiki_serve::protocol::encode_batch_into;
+use rafiki_serve::{
+    BatchResult, Client, ConfigReport, Json, MetricsReport, Response, ServeConfig, Server,
+    StatsReport,
+};
 use rafiki_workload::{
     BenchmarkSpec, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 
 const WINDOW_OPS: usize = 300;
 const PRELOAD_KEYS: u64 = 5_000;
@@ -284,5 +290,113 @@ fn frame_bursts_are_answered_in_order() {
         let mut client = Client::connect(addr).expect("connect");
         client.shutdown().expect("shutdown");
         handle.join().expect("server thread");
+    });
+}
+
+/// Three connections, released together by a barrier, each pipeline
+/// frames whose keys span both shards of a two-shard daemon, so their
+/// slices contend for the same shard locks. Every frame is answered in
+/// full, without error and in frame order (frame sizes are distinct, so
+/// a reordered reply shows as a length mismatch), and every op is
+/// counted exactly once, in `stats`, in the registry and per shard.
+#[test]
+fn concurrent_connections_contending_on_shards_lose_nothing() {
+    const CONNECTIONS: usize = 3;
+    const FRAMES: usize = 20;
+    let frame_len = |frame: usize| 64 - frame;
+    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(2)).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let barrier = Barrier::new(CONNECTIONS);
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.run().expect("server run"));
+        let connections: Vec<_> = (0..CONNECTIONS)
+            .map(|connection| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let sent: usize = (0..FRAMES).map(frame_len).sum();
+                    let mut ops = op_stream(sent, 60 + connection as u64).into_iter();
+                    let mut burst = String::new();
+                    for frame in 0..FRAMES {
+                        let chunk: Vec<Operation> = ops.by_ref().take(frame_len(frame)).collect();
+                        encode_batch_into(&chunk, &mut burst);
+                        burst.push('\n');
+                    }
+                    let raw = TcpStream::connect(addr).expect("raw connect");
+                    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+                    let mut writer = raw;
+                    barrier.wait();
+                    writer.write_all(burst.as_bytes()).expect("pipeline frames");
+                    let mut line = String::new();
+                    for frame in 0..FRAMES {
+                        line.clear();
+                        reader.read_line(&mut line).expect("batch reply");
+                        let json = Json::parse(line.trim()).expect("reply parses");
+                        let Ok(Response::Batch(results)) = Response::from_json(&json) else {
+                            panic!("connection {connection} frame {frame}: {line}");
+                        };
+                        assert_eq!(
+                            results.len(),
+                            frame_len(frame),
+                            "connection {connection}: reply {frame} is out of order"
+                        );
+                        assert!(
+                            results
+                                .iter()
+                                .all(|r| matches!(r, BatchResult::Done { .. })),
+                            "connection {connection} frame {frame}: {line}"
+                        );
+                    }
+                    sent as u64
+                })
+            })
+            .collect();
+        let sent: u64 = connections
+            .into_iter()
+            .map(|c| c.join().expect("connection thread"))
+            .sum();
+
+        let mut client = Client::connect(addr).expect("connect");
+        let stats = client.stats().expect("stats");
+        let metrics = client.metrics().expect("metrics");
+        client.shutdown().expect("shutdown");
+        let run = handle.join().expect("server thread");
+
+        assert_eq!(stats.operations, sent);
+        assert_eq!(run.operations, sent);
+        assert_eq!(counter(&metrics, "serve_ops_total"), stats.operations);
+        assert_eq!(stats.latency.count, sent);
+        assert_eq!(stats.shards.len(), 2);
+        for shard in &stats.shards {
+            assert!(shard.operations > 0, "shard {} got no ops", shard.shard);
+            assert_eq!(
+                shard.windows_closed,
+                shard.operations / WINDOW_OPS as u64,
+                "shard {} closed the wrong number of windows",
+                shard.shard
+            );
+            assert_eq!(
+                counter(
+                    &metrics,
+                    &format!("serve_ops_total{{shard=\"{}\"}}", shard.shard)
+                ),
+                shard.operations
+            );
+        }
+        assert_eq!(
+            stats.shards.iter().map(|s| s.operations).sum::<u64>(),
+            stats.operations
+        );
+        assert_eq!(
+            stats.shards.iter().map(|s| s.windows_closed).sum::<u64>(),
+            stats.windows_closed
+        );
+        assert_eq!(
+            stats.shards.iter().map(|s| s.latency.count).sum::<u64>(),
+            stats.latency.count
+        );
+        assert_eq!(
+            counter(&metrics, "serve_windows_closed_total"),
+            stats.windows_closed
+        );
     });
 }
