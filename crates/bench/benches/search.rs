@@ -1,10 +1,10 @@
 //! Criterion benches for the configuration search: the full GA run over a
 //! trained surrogate (the paper's ~1.8 s "combined GA + surrogate" claim,
-//! §4.8) and a grid evaluation of the same surrogate for comparison.
+//! §4.8) and random search on the same budget for comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rafiki_ga::{GaConfig, GeneSpec, Optimizer, SearchSpace};
 use rafiki_neural::{Dataset, Matrix, SurrogateConfig, SurrogateModel, TrainConfig};
+use rafiki_search::{run_strategy, GaConfig, GaSearch, GeneSpec, RandomSearch, SearchSpace};
 
 fn key_param_ga_space() -> SearchSpace {
     SearchSpace::new(vec![
@@ -49,50 +49,41 @@ fn trained_surrogate() -> SurrogateModel {
     )
 }
 
+/// Builds the surrogate's input rows for one batch at read ratio 0.9.
+fn rows(population: &[Vec<f64>]) -> Matrix {
+    let rows: Vec<Vec<f64>> = population
+        .iter()
+        .map(|genome| {
+            let mut row = vec![0.9];
+            row.extend_from_slice(genome);
+            row
+        })
+        .collect();
+    Matrix::from_rows(&rows)
+}
+
 fn bench_ga_search(c: &mut Criterion) {
     let surrogate = trained_surrogate();
     let space = key_param_ga_space();
     let mut group = c.benchmark_group("config_search");
     group.sample_size(10);
-    // The paper: GA + surrogate takes ~1.8 s with ~3,350 evaluations.
-    group.bench_function("ga_full_search_3350_evals", |b| {
-        b.iter(|| {
-            let optimizer = Optimizer::new(space.clone(), GaConfig::default());
-            optimizer.run(|genome| {
-                let mut row = vec![0.9];
-                row.extend_from_slice(genome);
-                surrogate.predict(&row)
-            })
-        })
-    });
-    // The same search through `run_batch`: each generation is scored with
-    // one `predict_batch` matrix pass per ensemble member. Identical
-    // trajectory (same seed, same RNG call order) — only the evaluation
-    // path differs, so the ratio against `ga_full_search_3350_evals` is
-    // the batch speedup on the §4.8 claim.
+    // The paper: GA + surrogate takes ~1.8 s with ~3,350 evaluations. Each
+    // generation is scored with one `predict_batch` matrix pass per
+    // ensemble member.
     group.bench_function("ga_full_search_batch_3350_evals", |b| {
         b.iter(|| {
-            let optimizer = Optimizer::new(space.clone(), GaConfig::default());
-            optimizer.run_batch(|population| {
-                let rows: Vec<Vec<f64>> = population
-                    .iter()
-                    .map(|genome| {
-                        let mut row = vec![0.9];
-                        row.extend_from_slice(genome);
-                        row
-                    })
-                    .collect();
-                surrogate.predict_batch(&Matrix::from_rows(&rows))
+            let mut ga = GaSearch::new(space.clone(), GaConfig::default());
+            run_strategy(&mut ga, |population| {
+                surrogate.predict_batch(&rows(population))
             })
         })
     });
-    // Equal-budget random search baseline.
+    // Equal-budget random search baseline, batched the same way.
     group.bench_function("random_search_same_budget", |b| {
         b.iter(|| {
-            rafiki_ga::random_search(&space, 3_350, 7, |genome| {
-                let mut row = vec![0.9];
-                row.extend_from_slice(genome);
-                surrogate.predict(&row)
+            let mut random = RandomSearch::new(space.clone(), 3_350, 50, 7);
+            run_strategy(&mut random, |population| {
+                surrogate.predict_batch(&rows(population))
             })
         })
     });

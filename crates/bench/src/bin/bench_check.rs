@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// The committed benchmark records this repository promises to keep
 /// measured. Adding a `BENCH_*.json` to the repo root means adding it
 /// here, or the gate will not protect it.
-const COMMITTED: &[&str] = &["BENCH_grid.json", "BENCH_search.json", "BENCH_bakeoff.json"];
+const COMMITTED: &[&str] = &["BENCH_bakeoff.json"];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -42,9 +42,6 @@ fn check(path: &Path) -> Result<(), String> {
     }
     match json.get("experiment") {
         Some(Json::Str(name)) => {
-            if name == "grid_speedup" {
-                check_grid_record(&json)?;
-            }
             if name == "bake_off" {
                 check_bakeoff_record(&json)?;
             }
@@ -52,54 +49,6 @@ fn check(path: &Path) -> Result<(), String> {
         }
         _ => Err("has no \"experiment\" name".to_string()),
     }
-}
-
-/// The grid record's schema: it must carry `host_cores`, the
-/// `hotpath_speedup` field (single-thread wall time vs the committed
-/// PR-2 baseline — the number the hot-path work is accountable to), and
-/// when measured on a single-core host every run must be flagged
-/// `degenerate: true` instead of publishing a meaningless ~1.0x
-/// parallel-vs-sequential "speedup".
-fn check_grid_record(json: &Json) -> Result<(), String> {
-    match json.get("host_cores").and_then(Json::as_u64) {
-        Some(cores) if cores >= 1 => {}
-        _ => return Err("has no \"host_cores\" >= 1".to_string()),
-    }
-    match json.get("hotpath_speedup").and_then(Json::as_f64) {
-        Some(s) if s > 0.0 => {}
-        _ => {
-            return Err("has no positive \"hotpath_speedup\" (regenerate with a \
-                 hot-path-aware grid_speedup)"
-                .to_string())
-        }
-    }
-    let workers = json.get("workers").and_then(Json::as_u64);
-    let runs = json
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("has no \"runs\" array")?;
-    if runs.is_empty() {
-        return Err("has an empty \"runs\" array".to_string());
-    }
-    for run in runs {
-        let label = match run.get("label") {
-            Some(Json::Str(l)) => l.clone(),
-            _ => return Err("a run has no \"label\"".to_string()),
-        };
-        let flagged = matches!(run.get("degenerate"), Some(Json::Bool(true)));
-        if workers == Some(1) && !flagged {
-            return Err(format!(
-                "run \"{label}\" was measured with 1 worker but is not \
-                 flagged \"degenerate\": true"
-            ));
-        }
-        if workers.is_some_and(|w| w > 1) && flagged {
-            return Err(format!(
-                "run \"{label}\" is flagged degenerate despite multiple workers"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// The bake-off record's schema: all four strategies must be present,

@@ -25,8 +25,6 @@ fn main() {
             experiments::fig8_fig9_error_histograms::run,
         ),
         ("Fig 10", experiments::fig10_throughput_variance::run),
-        ("search speedup", experiments::search_speedup::run),
-        ("grid speedup", experiments::grid_speedup::run),
         ("Table 3", experiments::table3_multiserver::run),
         ("Table 4", experiments::table4_scylladb::run),
         ("ablation", experiments::ablation_param_count::run),

@@ -13,8 +13,6 @@ pub mod fig5_anova;
 pub mod fig6_interdependency;
 pub mod fig7_training_curve;
 pub mod fig8_fig9_error_histograms;
-pub mod grid_speedup;
-pub mod search_speedup;
 pub mod table1_throughput_extremes;
 pub mod table3_multiserver;
 pub mod table4_scylladb;

@@ -9,8 +9,9 @@ use super::common::{coarse_genome_grid, load_or_collect_dataset, paper_surrogate
 use super::Finding;
 use rafiki::{CollectionPlan, ConfigSearchSpace, DbFlavor, EvalContext, PerformanceMetric};
 use rafiki_engine::{param_catalog, scylla_ignored_params, EngineConfig, ParamId};
-use rafiki_ga::{GaConfig, Optimizer};
-use rafiki_neural::SurrogateModel;
+use rafiki_ga::GaConfig;
+use rafiki_neural::{Matrix, SurrogateModel};
+use rafiki_search::{run_strategy, GaSearch};
 
 /// The ScyllaDB search space: respected parameters only, five in total
 /// (compaction, commit-log, and bloom settings survive the auto-tuner).
@@ -68,15 +69,21 @@ pub fn run(quick: bool) -> Vec<Finding> {
     for (i, &rr) in [0.7, 1.0].iter().enumerate() {
         let default_tput = ctx.measure(rr, &default_cfg);
 
-        // Rafiki: GA over the surrogate.
-        let optimizer = Optimizer::new(
+        // Rafiki: GA over the surrogate, one batched pass per generation.
+        let mut ga = GaSearch::new(
             space.to_ga_space(),
             GaConfig {
                 seed: crate::EXPERIMENT_SEED,
                 ..GaConfig::default()
             },
         );
-        let result = optimizer.run(|genome| surrogate.predict(&space.feature_row(rr, genome)));
+        let result = run_strategy(&mut ga, |population| {
+            let rows: Vec<Vec<f64>> = population
+                .iter()
+                .map(|g| space.feature_row(rr, g))
+                .collect();
+            surrogate.predict_batch(&Matrix::from_rows(&rows))
+        });
         let rafiki_cfg = space.config_from_genome(&result.best_genome);
         let rafiki_tput = ctx.measure(rr, &rafiki_cfg);
 

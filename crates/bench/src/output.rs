@@ -51,10 +51,10 @@ pub fn write_output(name: &str, contents: &str) -> PathBuf {
     path
 }
 
-/// Writes a committed benchmark record (e.g. `BENCH_search.json`,
-/// `BENCH_grid.json`) at the repository root, locating the root from the
-/// crate's own manifest directory so the refresh works from any working
-/// directory — not only workspace-root invocations.
+/// Writes a committed benchmark record (`BENCH_bakeoff.json`) at the
+/// repository root, locating the root from the crate's own manifest
+/// directory so the refresh works from any working directory — not only
+/// workspace-root invocations.
 ///
 /// # Panics
 ///

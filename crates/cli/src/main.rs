@@ -164,21 +164,11 @@ fn cmd_tune(args: &Args) -> Result<(), ArgError> {
         report.samples_collected,
         report.key_parameters.join(", ")
     );
-    let strategy_name = args.get_or("strategy", "ga").to_string();
-    let best = match strategy_name.as_str() {
-        // The built-in loop and the GA strategy are bit-identical; going
-        // through `optimize` keeps the default path byte-for-byte what it
-        // was before strategies existed.
-        "ga" => tuner
-            .optimize(rr)
-            .map_err(|e| ArgError(format!("search failed: {e}")))?,
-        other => {
-            let mut strategy = build_strategy(&tuner, other)?;
-            tuner
-                .optimize_with_strategy(rr, strategy.as_mut())
-                .map_err(|e| ArgError(format!("search failed: {e}")))?
-        }
-    };
+    let strategy_name = args.get_or("strategy", "ga");
+    let mut strategy = build_strategy(&tuner, strategy_name)?;
+    let best = tuner
+        .optimize_with_strategy(rr, strategy.as_mut())
+        .map_err(|e| ArgError(format!("search failed: {e}")))?;
     eprintln!("search strategy     : {strategy_name}");
     let default_tput = tuner.context().measure(rr, &EngineConfig::default());
     let tuned_tput = tuner.context().measure(rr, &best.config);
@@ -212,9 +202,11 @@ fn cmd_tune(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Builds a non-GA search strategy over the fitted tuner's space with a
-/// budget matching the built-in GA (`population * (generations + 1) + 1`
-/// evaluations), so `--strategy` swaps the algorithm, not the effort.
+/// Builds a search strategy over the fitted tuner's space. `ga` is the
+/// paper's GA on the tuner's GA config (exactly what `optimize` runs);
+/// the others get a budget matching its
+/// `population * (generations + 1) + 1` evaluations, so `--strategy`
+/// swaps the algorithm, not the effort.
 fn build_strategy(
     tuner: &RafikiTuner,
     name: &str,
@@ -226,6 +218,7 @@ fn build_strategy(
     let ga = TunerConfig::fast().ga;
     let budget = ga.population * (ga.generations + 1) + 1;
     Ok(match name {
+        "ga" => Box::new(rafiki_search::GaSearch::new(space, ga)),
         "bestconfig" => Box::new(rafiki_search::BestConfigSearch::new(
             space,
             rafiki_search::BestConfigConfig {

@@ -483,7 +483,7 @@ mod tests {
         assert_eq!(decisions, trace.windows.len(), "the sink saw the run");
         let searches = events
             .iter()
-            .filter(|e| e.target == "tuner" && e.name.starts_with("optimize") && is_mine(e))
+            .filter(|e| e.target == "tuner" && e.name == "optimize" && is_mine(e))
             .count();
         assert_eq!(searches, 0, "observe_window ran a search");
     }

@@ -19,9 +19,8 @@
 //!    is the points' order regardless of scheduling.
 //!
 //! `run_grid` and `run_grid_sequential` therefore return equal vectors
-//! (enforced by a test here and asserted at runtime by the
-//! `grid_speedup` experiment); the parallel path is purely a wall-clock
-//! optimization.
+//! (enforced by a test here and checked on every run of the repository's
+//! benchmark); the parallel path is purely a wall-clock optimization.
 
 use crate::dba::PerformanceMetric;
 use crate::evaluator::EvalContext;
@@ -77,8 +76,8 @@ impl EvalContext {
     /// The sequential reference loop: same seeds, same order, one point
     /// at a time (with the same per-grid snapshot reuse as
     /// [`EvalContext::run_grid`]). Exists so the determinism contract is
-    /// testable and the `grid_speedup` experiment can report honest
-    /// wall-time ratios.
+    /// testable, and as the reference the benchmark compares
+    /// [`EvalContext::run_grid`] against.
     pub fn run_grid_sequential(&self, points: &[GridPoint]) -> Vec<BenchmarkResult> {
         let snap = self.snapshot();
         (0..points.len())

@@ -6,7 +6,7 @@ use crate::evaluator::EvalContext;
 use crate::screening::{identify_key_parameters, ScreeningConfig, ScreeningReport};
 use crate::search_space::ConfigSearchSpace;
 use rafiki_engine::{param_catalog, EngineConfig, ParamId, ParamInfo};
-use rafiki_ga::{GaConfig, Optimizer};
+use rafiki_ga::GaConfig;
 use rafiki_neural::{Matrix, Surrogate, SurrogateConfig, SurrogateModel};
 use rafiki_obs as obs;
 use rafiki_stats::parallel_indexed;
@@ -256,7 +256,8 @@ impl RafikiTuner {
     }
 
     /// Phase 5: searches the configuration space for the given workload
-    /// read ratio using the GA over the surrogate.
+    /// read ratio using the paper's GA ([`rafiki_search::GaSearch`] on
+    /// [`TunerConfig::ga`]) over the surrogate.
     ///
     /// This is the exact search — thousands of surrogate evaluations,
     /// milliseconds of wall time — and what the CLI, the experiments and
@@ -269,67 +270,17 @@ impl RafikiTuner {
     ///
     /// Returns [`TunerError::NotFitted`] before [`RafikiTuner::fit`].
     pub fn optimize(&self, read_ratio: f64) -> Result<OptimizedConfig, TunerError> {
-        self.optimize_seeded(read_ratio, self.cfg.ga.seed)
+        let space = self.space.as_ref().ok_or(TunerError::NotFitted)?;
+        let mut ga = rafiki_search::GaSearch::new(space.to_ga_space(), self.cfg.ga);
+        self.optimize_with_strategy(read_ratio, &mut ga)
     }
 
-    /// Like [`RafikiTuner::optimize`] with an explicit GA seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TunerError::NotFitted`] before [`RafikiTuner::fit`].
-    pub fn optimize_seeded(
-        &self,
-        read_ratio: f64,
-        seed: u64,
-    ) -> Result<OptimizedConfig, TunerError> {
-        let (space, surrogate) = match (&self.space, &self.surrogate) {
-            (Some(s), Some(m)) => (s, m),
-            _ => return Err(TunerError::NotFitted),
-        };
-        let ga_cfg = GaConfig {
-            seed,
-            ..self.cfg.ga
-        };
-        let optimizer = Optimizer::new(space.to_ga_space(), ga_cfg);
-        let search_span = obs::span("tuner", "optimize", obs::Level::Debug);
-        // Batch-first hot path: assemble one feature matrix per generation
-        // and score it with a single pass through the surrogate trait
-        // object (one matrix–matrix product per ensemble member).
-        let surrogate: &dyn Surrogate = surrogate;
-        let result = optimizer.run_batch(|population| {
-            let rows: Vec<Vec<f64>> = population
-                .iter()
-                .map(|g| space.feature_row(read_ratio, g))
-                .collect();
-            surrogate.predict_batch(&Matrix::from_rows(&rows))
-        });
-        search_span.close(vec![
-            ("read_ratio", obs::Value::F64(read_ratio)),
-            ("seed", obs::Value::U64(seed)),
-            (
-                "generations",
-                obs::Value::U64(self.cfg.ga.generations as u64),
-            ),
-            ("evaluations", obs::Value::U64(result.evaluations as u64)),
-            ("best_fitness", obs::Value::F64(result.best_fitness)),
-        ]);
-        Ok(OptimizedConfig {
-            config: space.config_from_genome(&result.best_genome),
-            genome: result.best_genome,
-            predicted_throughput: result.best_fitness,
-            surrogate_evaluations: result.evaluations,
-        })
-    }
-
-    /// Phase 5 (online) with a pluggable search strategy: drives any
-    /// [`rafiki_search::SearchStrategy`] over the surrogate instead of
-    /// the built-in GA. The strategy must have been constructed over
+    /// Phase 5 with any [`rafiki_search::SearchStrategy`] over the
+    /// surrogate: each proposed batch is scored with one
+    /// population-batched surrogate pass (one matrix–matrix product per
+    /// ensemble member). The strategy must have been constructed over
     /// this tuner's [`ConfigSearchSpace::to_ga_space`] (genome
     /// dimensions must match the key parameters).
-    ///
-    /// Driving a [`rafiki_search::GaSearch`] through this path yields
-    /// the exact result of [`RafikiTuner::optimize_seeded`] — the GA
-    /// strategy is bit-identical to the built-in loop.
     ///
     /// # Errors
     ///
@@ -343,7 +294,7 @@ impl RafikiTuner {
             (Some(s), Some(m)) => (s, m),
             _ => return Err(TunerError::NotFitted),
         };
-        let search_span = obs::span("tuner", "optimize_strategy", obs::Level::Debug);
+        let search_span = obs::span("tuner", "optimize", obs::Level::Debug);
         let surrogate: &dyn Surrogate = surrogate;
         let outcome = rafiki_search::run_strategy(strategy, |population| {
             let rows: Vec<Vec<f64>> = population
@@ -427,7 +378,7 @@ impl RafikiTuner {
 
     /// Predicts throughput for many genomes at one read ratio with a
     /// single batched surrogate pass — the same path
-    /// [`RafikiTuner::optimize_seeded`] runs per GA generation.
+    /// [`RafikiTuner::optimize_with_strategy`] runs per proposed batch.
     ///
     /// # Errors
     ///
@@ -540,27 +491,33 @@ mod tests {
         assert!(tuner.predict_many(0.7, &[]).unwrap().is_empty());
     }
 
+    /// A GA search over `tuner`'s space with `cfg`'s GA on `seed`.
+    fn ga_search(tuner: &RafikiTuner, seed: u64) -> rafiki_search::GaSearch {
+        let ga_cfg = GaConfig {
+            seed,
+            ..tuner.cfg.ga
+        };
+        rafiki_search::GaSearch::new(tuner.space().unwrap().to_ga_space(), ga_cfg)
+    }
+
     #[test]
     fn optimization_is_deterministic_per_seed() {
         let (tuner, _) = fitted_fixture();
-        let a = tuner.optimize_seeded(0.5, 3).unwrap();
-        let b = tuner.optimize_seeded(0.5, 3).unwrap();
-        assert_eq!(a, b);
+        let a = tuner.optimize_with_strategy(0.5, &mut ga_search(tuner, 3));
+        let b = tuner.optimize_with_strategy(0.5, &mut ga_search(tuner, 3));
+        assert_eq!(a.unwrap(), b.unwrap());
     }
 
     #[test]
     fn ga_strategy_is_bit_identical_to_builtin_optimize() {
+        // `optimize` is the GA strategy on the tuner's own GA config.
         let (tuner, _) = fitted_fixture();
-        for seed in [0u64, 7, 42] {
-            let builtin = tuner.optimize_seeded(0.6, seed).unwrap();
-            let ga_cfg = GaConfig {
-                seed,
-                ..TunerConfig::fast().ga
-            };
-            let mut strategy =
-                rafiki_search::GaSearch::new(tuner.space().unwrap().to_ga_space(), ga_cfg);
-            let via_strategy = tuner.optimize_with_strategy(0.6, &mut strategy).unwrap();
-            assert_eq!(via_strategy, builtin, "seed {seed}");
+        for rr in [0.1, 0.6, 0.95] {
+            let builtin = tuner.optimize(rr).unwrap();
+            let via_strategy = tuner
+                .optimize_with_strategy(rr, &mut ga_search(tuner, tuner.cfg.ga.seed))
+                .unwrap();
+            assert_eq!(via_strategy, builtin, "rr {rr}");
         }
     }
 

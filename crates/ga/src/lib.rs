@@ -6,16 +6,17 @@
 //! enforces interpolation rather than extrapolation); integer and bound
 //! constraints are handled by Deb's feasibility rule (Deb, 2000): any
 //! feasible genome outranks any infeasible one, and infeasible genomes
-//! rank by violation alone (a multiplicative penalty is kept as
-//! [`ConstraintHandling::Penalty`] for fidelity runs). The search uses
-//! ~3,350 surrogate calls per workload, and [`Optimizer::run_batch`]
-//! scores each generation with a single population-batched evaluator
-//! call so a surrogate can answer it in one matrix pass.
+//! rank by violation alone. The search uses ~3,350 surrogate calls per
+//! workload.
+//!
+//! [`GaStepper`] is the whole GA, as a propose/observe state machine: it
+//! hands out one generation at a time, so the caller can score it with a
+//! single population-batched surrogate pass.
 //!
 //! # Example
 //!
 //! ```
-//! use rafiki_ga::{GaConfig, GeneSpec, Optimizer, SearchSpace};
+//! use rafiki_ga::{GaConfig, GaStepper, GeneSpec, SearchSpace};
 //!
 //! // Maximize a concave function of one integer and one real gene.
 //! let space = SearchSpace::new(vec![
@@ -23,8 +24,16 @@
 //!     GeneSpec::Real { min: -1.0, max: 1.0 },
 //! ]);
 //! let cfg = GaConfig { population: 30, generations: 40, ..GaConfig::default() };
-//! let result = Optimizer::new(space, cfg)
-//!     .run(|g| -((g[0] - 7.0).powi(2)) - (g[1] - 0.25).powi(2));
+//! let mut ga = GaStepper::new(space, cfg);
+//! while !ga.is_done() {
+//!     let fitness: Vec<f64> = ga
+//!         .propose()
+//!         .iter()
+//!         .map(|g| -((g[0] - 7.0).powi(2)) - (g[1] - 0.25).powi(2))
+//!         .collect();
+//!     ga.observe(&fitness);
+//! }
+//! let result = ga.into_result();
 //! assert_eq!(result.best_genome[0], 7.0);
 //! assert!((result.best_genome[1] - 0.25).abs() < 0.1);
 //! ```
@@ -32,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod space;
+mod space;
 
 pub use space::{GeneSpec, SearchSpace};
 
@@ -40,38 +49,6 @@ use rafiki_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// How constraint violations rank infeasible genomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConstraintHandling {
-    /// Deb's feasibility rule (Deb, 2000): every feasible genome outranks
-    /// every infeasible one, and infeasible genomes are ranked among
-    /// themselves by violation alone — their raw fitness is ignored. The
-    /// default.
-    #[default]
-    DebRule,
-    /// The seed implementation's multiplicative penalty
-    /// (`raw - penalty·(1+viol)·max(|raw|, 1)`, weighted by
-    /// [`GaConfig::penalty`]), kept for fidelity runs. For legitimately
-    /// negative fitness values (negated latency objectives) this can leave
-    /// an infeasible genome outranking a feasible one; prefer
-    /// [`ConstraintHandling::DebRule`].
-    Penalty,
-}
-
-/// Crossover operator variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Crossover {
-    /// `child_i = r_i * a_i + (1 - r_i) * b_i` with `r_i ~ U(0,1)` — a
-    /// random-weighted average that interpolates within the population's
-    /// bounding box, as §3.7.2 describes.
-    Interpolate,
-    /// The formula as literally printed in the paper, which additionally
-    /// halves the average (`(r·a + (1-r)·b) / 2`). Kept for fidelity
-    /// experiments; it biases children toward the origin, so
-    /// [`Crossover::Interpolate`] is the default.
-    PaperHalving,
-}
 
 /// Hyperparameters for the genetic algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,14 +68,6 @@ pub struct GaConfig {
     pub elitism: usize,
     /// Tournament size for parent selection.
     pub tournament: usize,
-    /// Penalty weight applied per unit of constraint violation (only used
-    /// by [`ConstraintHandling::Penalty`]).
-    pub penalty: f64,
-    /// Constraint-handling scheme for infeasible genomes.
-    #[serde(default)]
-    pub constraint_handling: ConstraintHandling,
-    /// Crossover operator.
-    pub crossover: Crossover,
     /// RNG seed.
     pub seed: u64,
 }
@@ -113,9 +82,6 @@ impl Default for GaConfig {
             mutation_scale: 0.2,
             elitism: 2,
             tournament: 3,
-            penalty: 1.0,
-            constraint_handling: ConstraintHandling::DebRule,
-            crossover: Crossover::Interpolate,
             seed: 0,
         }
     }
@@ -146,179 +112,6 @@ pub struct GaResult {
     pub history: Vec<f64>,
 }
 
-/// A genetic-algorithm optimizer over a [`SearchSpace`].
-#[derive(Debug, Clone)]
-pub struct Optimizer {
-    space: SearchSpace,
-    cfg: GaConfig,
-}
-
-impl Optimizer {
-    /// Creates an optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when population or generations are zero, or the tournament
-    /// size is zero or exceeds the population.
-    pub fn new(space: SearchSpace, cfg: GaConfig) -> Self {
-        assert!(cfg.population > 0, "population must be positive");
-        assert!(cfg.generations > 0, "generations must be positive");
-        assert!(
-            cfg.tournament > 0 && cfg.tournament <= cfg.population,
-            "tournament size must be in 1..=population"
-        );
-        assert!(
-            cfg.elitism < cfg.population,
-            "elitism must be below population"
-        );
-        Optimizer { space, cfg }
-    }
-
-    /// The search space.
-    pub fn space(&self) -> &SearchSpace {
-        &self.space
-    }
-
-    /// Runs the GA, maximizing `fitness`. The fitness function is always
-    /// called on raw (possibly infeasible) genomes; constraint handling
-    /// (see [`ConstraintHandling`]) is applied on top of its return value,
-    /// mirroring the paper's scheme where infeasible configuration files
-    /// score a penalized fitness.
-    ///
-    /// This is a scalar shim over [`Optimizer::run_batch`]: `fitness` is
-    /// called once per genome in population order, so both entry points
-    /// produce identical trajectories for a fixed seed.
-    pub fn run<F: FnMut(&[f64]) -> f64>(&self, mut fitness: F) -> GaResult {
-        self.run_batch(|population| population.iter().map(|g| fitness(g.as_slice())).collect())
-    }
-
-    /// Runs the GA with a population-batched evaluator, maximizing
-    /// `fitness`. The evaluator receives a whole generation at once and
-    /// must return one raw fitness per genome, in order — this is the
-    /// hot path that lets a surrogate model score a generation with one
-    /// matrix–matrix pass per network instead of per-genome calls.
-    ///
-    /// RNG call order is identical to [`Optimizer::run`], so the two
-    /// entry points return bit-identical results for the same
-    /// deterministic fitness function and seed.
-    ///
-    /// This is a thin driver over [`GaStepper`] — the inverted
-    /// propose/observe form of the same loop — so the stepper cannot
-    /// drift from the closed-loop entry points.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the evaluator returns a vector whose length differs
-    /// from the population it was given.
-    pub fn run_batch<F: FnMut(&[Vec<f64>]) -> Vec<f64>>(&self, mut fitness: F) -> GaResult {
-        let mut stepper = GaStepper::new(self.space.clone(), self.cfg);
-        while !stepper.is_done() {
-            let batch = stepper.propose();
-            let raw = fitness(&batch);
-            stepper.observe(&raw);
-        }
-        stepper.into_result()
-    }
-
-    /// Applies the configured constraint handling to one generation's raw
-    /// fitness values, vectorized over the population.
-    fn penalize(&self, population: &[Vec<f64>], raw: Vec<f64>) -> Vec<f64> {
-        let viols: Vec<f64> = population.iter().map(|g| self.space.violation(g)).collect();
-        match self.cfg.constraint_handling {
-            ConstraintHandling::Penalty => raw
-                .into_iter()
-                .zip(&viols)
-                .map(|(r, &v)| {
-                    if v > 0.0 {
-                        r - self.cfg.penalty * (1.0 + v) * r.abs().max(1.0)
-                    } else {
-                        r
-                    }
-                })
-                .collect(),
-            ConstraintHandling::DebRule => {
-                // Anchor infeasible genomes strictly below the generation's
-                // worst finite feasible fitness, ranked by violation alone.
-                // With no finite feasible genome this generation, rank
-                // infeasible ones below zero by violation.
-                let worst_feasible = raw
-                    .iter()
-                    .zip(&viols)
-                    .filter(|(r, &v)| v == 0.0 && r.is_finite())
-                    .map(|(&r, _)| r)
-                    .fold(f64::INFINITY, f64::min);
-                let anchor = if worst_feasible.is_finite() {
-                    worst_feasible
-                } else {
-                    0.0
-                };
-                raw.into_iter()
-                    .zip(&viols)
-                    .map(|(r, &v)| if v > 0.0 { anchor - v } else { r })
-                    .collect()
-            }
-        }
-    }
-
-    fn tournament_select(&self, scores: &[f64], rng: &mut StdRng) -> usize {
-        let mut best = rng.gen_range(0..scores.len());
-        for _ in 1..self.cfg.tournament {
-            let c = rng.gen_range(0..scores.len());
-            if cmp_fitness(scores[c], scores[best]) == std::cmp::Ordering::Greater {
-                best = c;
-            }
-        }
-        best
-    }
-
-    fn crossover(&self, a: &[f64], b: &[f64], rng: &mut StdRng) -> Vec<f64> {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| {
-                let r: f64 = rng.gen_range(0.0..1.0);
-                let v = r * x + (1.0 - r) * y;
-                match self.cfg.crossover {
-                    Crossover::Interpolate => v,
-                    Crossover::PaperHalving => v / 2.0,
-                }
-            })
-            .collect()
-    }
-
-    fn mutate(&self, mut genome: Vec<f64>, rng: &mut StdRng) -> Vec<f64> {
-        for (g, spec) in genome.iter_mut().zip(self.space.genes()) {
-            if rng.gen_bool(self.cfg.mutation_rate) {
-                match *spec {
-                    GeneSpec::Categorical { .. } => {
-                        // Resample categorical genes: a Gaussian nudge makes
-                        // no sense for unordered options.
-                        *g = spec.sample(rng);
-                    }
-                    GeneSpec::Int { .. } => {
-                        // Feasibility-preserving integer mutation (the
-                        // standard companion to Deb's rule): nudge, then
-                        // round, so mutation keeps introducing new *integer*
-                        // values instead of leaving integrality reachable
-                        // only through the initial samples.
-                        let range = (spec.hi() - spec.lo()).max(1e-12);
-                        let step = self.cfg.mutation_scale * range;
-                        let noise: f64 = rng.gen_range(-0.5..0.5) + rng.gen_range(-0.5..0.5);
-                        *g = (*g + noise * step).round().clamp(spec.lo(), spec.hi());
-                    }
-                    GeneSpec::Real { .. } => {
-                        let range = (spec.hi() - spec.lo()).max(1e-12);
-                        let step = self.cfg.mutation_scale * range;
-                        // Triangular noise around 0 (sum of two uniforms).
-                        let noise: f64 = rng.gen_range(-0.5..0.5) + rng.gen_range(-0.5..0.5);
-                        *g = (*g + noise * step).clamp(spec.lo(), spec.hi());
-                    }
-                }
-            }
-        }
-        genome
-    }
-}
-
 /// Where a [`GaStepper`] is in its propose/observe loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepPhase {
@@ -332,24 +125,22 @@ enum StepPhase {
 
 /// The genetic algorithm as a resumable propose/observe state machine.
 ///
-/// [`Optimizer::run_batch`] drives this stepper in a closed loop; callers
-/// that need inversion of control (a search-strategy scheduler
-/// interleaving several optimizers over one surrogate, or a latent-space
-/// search that decodes proposals before scoring them) drive it directly:
-///
 /// 1. [`GaStepper::propose`] returns the batch of genomes awaiting
 ///    fitness — a full generation, then a final single repaired genome;
-/// 2. the caller scores the batch however it likes;
+/// 2. the caller scores the batch however it likes (one batched
+///    surrogate pass, a latent-space decoder in front, …);
 /// 3. [`GaStepper::observe`] accepts the raw fitness values and advances
 ///    the GA (rank, breed, or finish).
 ///
-/// RNG draw order is identical to the pre-stepper closed-loop
-/// implementation, so trajectories are bit-identical for a fixed seed —
-/// `run_batch` is a thin driver over this type, and the equivalence is
-/// pinned by test.
+/// The fitness is always taken on raw (possibly infeasible) genomes;
+/// Deb's rule ranks them on top of it, mirroring the paper's scheme where
+/// infeasible configuration files score a penalized fitness. The
+/// trajectory is a pure function of the space, the config and the
+/// observed values, so a fixed seed reproduces it bit for bit.
 #[derive(Debug, Clone)]
 pub struct GaStepper {
-    opt: Optimizer,
+    space: SearchSpace,
+    cfg: GaConfig,
     rng: StdRng,
     /// The batch awaiting scores (a population, or `[repaired best]`).
     pending: Vec<Vec<f64>>,
@@ -367,16 +158,28 @@ impl GaStepper {
     ///
     /// # Panics
     ///
-    /// Same validation as [`Optimizer::new`].
+    /// Panics when population or generations are zero, the tournament
+    /// size is zero or exceeds the population, or elitism is not below
+    /// the population.
     pub fn new(space: SearchSpace, cfg: GaConfig) -> Self {
-        let opt = Optimizer::new(space, cfg);
+        assert!(cfg.population > 0, "population must be positive");
+        assert!(cfg.generations > 0, "generations must be positive");
+        assert!(
+            cfg.tournament > 0 && cfg.tournament <= cfg.population,
+            "tournament size must be in 1..=population"
+        );
+        assert!(
+            cfg.elitism < cfg.population,
+            "elitism must be below population"
+        );
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // Initial population: uniformly random feasible genomes.
         let pending: Vec<Vec<f64>> = (0..cfg.population)
-            .map(|_| opt.space.sample(&mut rng))
+            .map(|_| space.sample(&mut rng))
             .collect();
         GaStepper {
-            opt,
+            space,
+            cfg,
             rng,
             pending,
             gen_index: 0,
@@ -411,8 +214,8 @@ impl GaStepper {
         match self.phase {
             StepPhase::Scoring => {
                 self.evaluations += self.pending.len();
-                let scores = self.opt.penalize(&self.pending, raw.to_vec());
-                if self.gen_index < self.opt.cfg.generations {
+                let scores = deb_scores(&self.space, &self.pending, raw);
+                if self.gen_index < self.cfg.generations {
                     self.rank_and_breed(scores);
                     self.gen_index += 1;
                 } else {
@@ -428,10 +231,7 @@ impl GaStepper {
                         "search_done",
                         obs::Level::Debug,
                         vec![
-                            (
-                                "generations",
-                                obs::Value::U64(self.opt.cfg.generations as u64),
-                            ),
+                            ("generations", obs::Value::U64(self.cfg.generations as u64)),
                             ("evaluations", obs::Value::U64(self.evaluations as u64)),
                             ("best_fitness", obs::Value::F64(best_fitness)),
                         ],
@@ -453,7 +253,7 @@ impl GaStepper {
     /// Ranks the scored population and breeds the next generation into
     /// `pending`.
     fn rank_and_breed(&mut self, scores: Vec<f64>) {
-        let cfg = self.opt.cfg;
+        let cfg = self.cfg;
         let population = &self.pending;
         // Rank current population (descending score, NaN last).
         let mut order: Vec<usize> = (0..population.len()).collect();
@@ -474,21 +274,21 @@ impl GaStepper {
             );
         }
 
+        let rng = &mut self.rng;
         let mut next: Vec<Vec<f64>> = Vec::with_capacity(cfg.population);
         // Elites survive unchanged.
         for &i in order.iter().take(cfg.elitism) {
             next.push(population[i].clone());
         }
         while next.len() < cfg.population {
-            let a = self.opt.tournament_select(&scores, &mut self.rng);
-            let child = if self.rng.gen_bool(cfg.crossover_rate) {
-                let b = self.opt.tournament_select(&scores, &mut self.rng);
-                self.opt
-                    .crossover(&population[a], &population[b], &mut self.rng)
+            let a = tournament_select(&scores, cfg.tournament, rng);
+            let child = if rng.gen_bool(cfg.crossover_rate) {
+                let b = tournament_select(&scores, cfg.tournament, rng);
+                crossover(&population[a], &population[b], rng)
             } else {
                 population[a].clone()
             };
-            next.push(self.opt.mutate(child, &mut self.rng));
+            next.push(mutate(&self.space, &cfg, child, rng));
         }
         self.pending = next;
     }
@@ -501,7 +301,7 @@ impl GaStepper {
             .enumerate()
             .max_by(|a, b| cmp_fitness(*a.1, *b.1))
             .expect("non-empty population");
-        let best_genome = self.opt.space.repair(&self.pending[best_idx]);
+        let best_genome = self.space.repair(&self.pending[best_idx]);
         self.evaluations += 1;
         self.pending = vec![best_genome];
         self.phase = StepPhase::Final;
@@ -527,67 +327,100 @@ impl GaStepper {
     }
 }
 
-/// Exhaustively evaluates a grid with `real_steps` levels per continuous
-/// gene, returning the best genome, its fitness, and the number of
-/// evaluations. This is the "theoretically best achievable" baseline of
-/// §4.8 — check [`SearchSpace::grid_size`] first, it grows combinatorially.
-pub fn grid_search<F: FnMut(&[f64]) -> f64>(
-    space: &SearchSpace,
-    real_steps: usize,
-    mut fitness: F,
-) -> GaResult {
-    let grid = space.enumerate_grid(real_steps);
-    let mut best_genome = grid[0].clone();
-    let mut best_fitness = f64::NEG_INFINITY;
-    let evaluations = grid.len();
-    for genome in grid {
-        let f = fitness(&genome);
-        if f > best_fitness {
-            best_fitness = f;
-            best_genome = genome;
-        }
-    }
-    GaResult {
-        best_genome,
-        best_fitness,
-        evaluations,
-        history: vec![best_fitness],
-    }
+/// Deb's feasibility rule over one generation's raw fitness values:
+/// feasible genomes keep their raw value; infeasible ones are anchored
+/// strictly below the generation's worst finite feasible fitness and
+/// ranked by violation alone. With no finite feasible genome this
+/// generation, infeasible ones rank below zero by violation.
+fn deb_scores(space: &SearchSpace, population: &[Vec<f64>], raw: &[f64]) -> Vec<f64> {
+    let viols: Vec<f64> = population.iter().map(|g| space.violation(g)).collect();
+    let worst_feasible = raw
+        .iter()
+        .zip(&viols)
+        .filter(|(r, &v)| v == 0.0 && r.is_finite())
+        .map(|(&r, _)| r)
+        .fold(f64::INFINITY, f64::min);
+    let anchor = if worst_feasible.is_finite() {
+        worst_feasible
+    } else {
+        0.0
+    };
+    raw.iter()
+        .zip(&viols)
+        .map(|(&r, &v)| if v > 0.0 { anchor - v } else { r })
+        .collect()
 }
 
-/// Uniform random search with a fixed evaluation budget — the
-/// equal-budget baseline used in the ablation benches.
-pub fn random_search<F: FnMut(&[f64]) -> f64>(
-    space: &SearchSpace,
-    budget: usize,
-    seed: u64,
-    mut fitness: F,
-) -> GaResult {
-    assert!(budget > 0, "random search needs a positive budget");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best_genome = space.sample(&mut rng);
-    let mut best_fitness = fitness(&best_genome);
-    let mut history = vec![best_fitness];
-    for _ in 1..budget {
-        let g = space.sample(&mut rng);
-        let f = fitness(&g);
-        if f > best_fitness {
-            best_fitness = f;
-            best_genome = g;
+fn tournament_select(scores: &[f64], size: usize, rng: &mut StdRng) -> usize {
+    let mut best = rng.gen_range(0..scores.len());
+    for _ in 1..size {
+        let c = rng.gen_range(0..scores.len());
+        if cmp_fitness(scores[c], scores[best]) == std::cmp::Ordering::Greater {
+            best = c;
         }
-        history.push(best_fitness);
     }
-    GaResult {
-        best_genome,
-        best_fitness,
-        evaluations: budget,
-        history,
+    best
+}
+
+/// `child_i = r_i * a_i + (1 - r_i) * b_i` with `r_i ~ U(0,1)`: a
+/// random-weighted average that interpolates within the population's
+/// bounding box, as §3.7.2 describes.
+fn crossover(a: &[f64], b: &[f64], rng: &mut StdRng) -> Vec<f64> {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| {
+            let r: f64 = rng.gen_range(0.0..1.0);
+            r * x + (1.0 - r) * y
+        })
+        .collect()
+}
+
+fn mutate(space: &SearchSpace, cfg: &GaConfig, mut genome: Vec<f64>, rng: &mut StdRng) -> Vec<f64> {
+    for (g, spec) in genome.iter_mut().zip(space.genes()) {
+        if rng.gen_bool(cfg.mutation_rate) {
+            match *spec {
+                GeneSpec::Categorical { .. } => {
+                    // Resample categorical genes: a Gaussian nudge makes
+                    // no sense for unordered options.
+                    *g = spec.sample(rng);
+                }
+                GeneSpec::Int { .. } => {
+                    // Feasibility-preserving integer mutation (the
+                    // standard companion to Deb's rule): nudge, then
+                    // round, so mutation keeps introducing new *integer*
+                    // values instead of leaving integrality reachable
+                    // only through the initial samples.
+                    let range = (spec.hi() - spec.lo()).max(1e-12);
+                    let step = cfg.mutation_scale * range;
+                    let noise: f64 = rng.gen_range(-0.5..0.5) + rng.gen_range(-0.5..0.5);
+                    *g = (*g + noise * step).round().clamp(spec.lo(), spec.hi());
+                }
+                GeneSpec::Real { .. } => {
+                    let range = (spec.hi() - spec.lo()).max(1e-12);
+                    let step = cfg.mutation_scale * range;
+                    // Triangular noise around 0 (sum of two uniforms).
+                    let noise: f64 = rng.gen_range(-0.5..0.5) + rng.gen_range(-0.5..0.5);
+                    *g = (*g + noise * step).clamp(spec.lo(), spec.hi());
+                }
+            }
+        }
     }
+    genome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Drives a stepper to completion, scoring one genome at a time.
+    fn run(space: SearchSpace, cfg: GaConfig, mut fitness: impl FnMut(&[f64]) -> f64) -> GaResult {
+        let mut ga = GaStepper::new(space, cfg);
+        while !ga.is_done() {
+            let raw: Vec<f64> = ga.propose().iter().map(|g| fitness(g)).collect();
+            ga.observe(&raw);
+        }
+        ga.into_result()
+    }
 
     fn unit_space(dims: usize) -> SearchSpace {
         SearchSpace::new(
@@ -608,8 +441,9 @@ mod tests {
             generations: 60,
             ..GaConfig::default()
         };
-        let r = Optimizer::new(space, cfg)
-            .run(|g| -g.iter().map(|x| (x - 1.5) * (x - 1.5)).sum::<f64>());
+        let r = run(space, cfg, |g| {
+            -g.iter().map(|x| (x - 1.5) * (x - 1.5)).sum::<f64>()
+        });
         for &v in &r.best_genome {
             assert!((v - 1.5).abs() < 0.2, "{:?}", r.best_genome);
         }
@@ -626,7 +460,7 @@ mod tests {
             seed: 3,
             ..GaConfig::default()
         };
-        let r = Optimizer::new(space, cfg).run(|g| {
+        let r = run(space, cfg, |g| {
             -g.iter()
                 .map(|&x| x * x - 10.0 * (2.0 * std::f64::consts::PI * x).cos() + 10.0)
                 .sum::<f64>()
@@ -640,8 +474,9 @@ mod tests {
             GeneSpec::Int { min: 0, max: 100 },
             GeneSpec::Real { min: 0.0, max: 1.0 },
         ]);
-        let r = Optimizer::new(space.clone(), GaConfig::default())
-            .run(|g| -(g[0] - 42.3).abs() - (g[1] - 0.5).abs());
+        let r = run(space.clone(), GaConfig::default(), |g| {
+            -(g[0] - 42.3).abs() - (g[1] - 0.5).abs()
+        });
         assert!(space.is_feasible(&r.best_genome));
         // The best integer for |x - 42.3| is 42.
         assert_eq!(r.best_genome[0], 42.0);
@@ -650,15 +485,12 @@ mod tests {
     #[test]
     fn categorical_gene_is_searched() {
         let space = SearchSpace::new(vec![GeneSpec::Categorical { options: 5 }]);
-        let r = Optimizer::new(
-            space,
-            GaConfig {
-                population: 20,
-                generations: 10,
-                ..GaConfig::default()
-            },
-        )
-        .run(|g| {
+        let cfg = GaConfig {
+            population: 20,
+            generations: 10,
+            ..GaConfig::default()
+        };
+        let r = run(space, cfg, |g| {
             if g[0].round() as usize == 3 {
                 10.0
             } else {
@@ -677,8 +509,8 @@ mod tests {
             ..GaConfig::default()
         };
         let f = |g: &[f64]| -g.iter().map(|x| x * x).sum::<f64>();
-        let r1 = Optimizer::new(space.clone(), cfg).run(f);
-        let r2 = Optimizer::new(space, cfg).run(f);
+        let r1 = run(space.clone(), cfg, f);
+        let r2 = run(space, cfg, f);
         assert_eq!(r1.best_genome, r2.best_genome);
         assert_eq!(r1.evaluations, r2.evaluations);
     }
@@ -692,7 +524,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut calls = 0usize;
-        let r = Optimizer::new(space, cfg).run(|_| {
+        let r = run(space, cfg, |_| {
             calls += 1;
             0.0
         });
@@ -710,43 +542,22 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_run_bit_for_bit() {
-        let space = SearchSpace::new(vec![
-            GeneSpec::Int { min: 0, max: 10 },
-            GeneSpec::Real {
-                min: -1.0,
-                max: 1.0,
-            },
-        ]);
-        let cfg = GaConfig {
-            population: 20,
-            generations: 12,
-            seed: 11,
-            ..GaConfig::default()
-        };
-        let f = |g: &[f64]| -((g[0] - 7.0).powi(2)) - (g[1] - 0.25).powi(2);
-        let scalar = Optimizer::new(space.clone(), cfg).run(f);
-        let batch = Optimizer::new(space, cfg)
-            .run_batch(|pop| pop.iter().map(|g| f(g.as_slice())).collect());
-        assert_eq!(scalar, batch);
-    }
-
-    #[test]
     fn batch_evaluator_sees_whole_generations() {
-        let space = unit_space(2);
         let cfg = GaConfig {
             population: 8,
             generations: 4,
             ..GaConfig::default()
         };
+        let mut ga = GaStepper::new(unit_space(2), cfg);
         let mut batch_sizes = Vec::new();
-        let r = Optimizer::new(space, cfg).run_batch(|pop| {
+        while !ga.is_done() {
+            let pop = ga.propose();
             batch_sizes.push(pop.len());
-            pop.iter().map(|g| -g[0].abs()).collect()
-        });
+            ga.observe(&pop.iter().map(|g| -g[0].abs()).collect::<Vec<_>>());
+        }
         // init pop + 4 generations of full batches + final 1-genome batch.
         assert_eq!(batch_sizes, vec![8, 8, 8, 8, 8, 1]);
-        assert_eq!(r.evaluations, 8 + 4 * 8 + 1);
+        assert_eq!(ga.into_result().evaluations, 8 + 4 * 8 + 1);
     }
 
     #[test]
@@ -758,7 +569,11 @@ mod tests {
             seed: 4,
             ..GaConfig::default()
         };
-        let r = Optimizer::new(space, cfg).run(|g| if g[0] > 0.0 { f64::NAN } else { -g[1].abs() });
+        let r = run(
+            space,
+            cfg,
+            |g| if g[0] > 0.0 { f64::NAN } else { -g[1].abs() },
+        );
         // The search must complete with full history; NaN genomes rank
         // below every numeric score, so the tracked best is numeric
         // whenever any genome in the generation scored one.
@@ -771,8 +586,8 @@ mod tests {
     #[test]
     fn deb_rule_prefers_feasible_on_negative_objectives() {
         // Crossover produces fractional (infeasible) values for an Int
-        // gene. With a large negative objective the multiplicative penalty
-        // can leave infeasible genomes on top; Deb's rule must not.
+        // gene. With a large negative objective a multiplicative penalty
+        // could leave infeasible genomes on top; Deb's rule must not.
         let space = SearchSpace::new(vec![GeneSpec::Int { min: 0, max: 20 }]);
         let cfg = GaConfig {
             population: 30,
@@ -780,7 +595,7 @@ mod tests {
             seed: 2,
             ..GaConfig::default()
         };
-        let r = Optimizer::new(space.clone(), cfg).run(|g| -1_000.0 - (g[0] - 7.0).abs());
+        let r = run(space.clone(), cfg, |g| -1_000.0 - (g[0] - 7.0).abs());
         assert!(space.is_feasible(&r.best_genome), "{:?}", r.best_genome);
         assert!(
             (r.best_genome[0] - 7.0).abs() <= 2.0,
@@ -790,91 +605,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_penalty_mode_is_preserved() {
-        let space = SearchSpace::new(vec![
-            GeneSpec::Int { min: 0, max: 100 },
-            GeneSpec::Real { min: 0.0, max: 1.0 },
-        ]);
+    fn history_is_monotone_with_elitism() {
         let cfg = GaConfig {
-            constraint_handling: ConstraintHandling::Penalty,
+            generations: 30,
             ..GaConfig::default()
         };
-        let r =
-            Optimizer::new(space.clone(), cfg).run(|g| -(g[0] - 42.3).abs() - (g[1] - 0.5).abs());
-        // For a positive-ish objective the legacy penalty still steers the
-        // search onto the feasible set (the repaired best is integral).
-        assert!(space.is_feasible(&r.best_genome));
-        assert_eq!(r.best_genome[0], 42.0);
-    }
-
-    #[test]
-    fn history_is_monotone_with_elitism() {
-        let space = unit_space(3);
-        let r = Optimizer::new(
-            space,
-            GaConfig {
-                generations: 30,
-                ..GaConfig::default()
-            },
-        )
-        .run(|g| -g.iter().map(|x| x.abs()).sum::<f64>());
+        let r = run(unit_space(3), cfg, |g| {
+            -g.iter().map(|x| x.abs()).sum::<f64>()
+        });
         for w in r.history.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "history regressed: {w:?}");
         }
-    }
-
-    #[test]
-    fn grid_search_finds_exact_discrete_optimum() {
-        let space = SearchSpace::new(vec![
-            GeneSpec::Int { min: 0, max: 9 },
-            GeneSpec::Categorical { options: 3 },
-        ]);
-        let r = grid_search(&space, 2, |g| g[0] * 10.0 + g[1]);
-        assert_eq!(r.best_genome, vec![9.0, 2.0]);
-        assert_eq!(r.evaluations, 30);
-    }
-
-    #[test]
-    fn random_search_improves_with_budget() {
-        let space = unit_space(3);
-        let f = |g: &[f64]| -g.iter().map(|x| x * x).sum::<f64>();
-        let small = random_search(&space, 10, 5, f);
-        let large = random_search(&space, 1_000, 5, f);
-        assert!(large.best_fitness >= small.best_fitness);
-    }
-
-    #[test]
-    fn ga_beats_random_search_at_equal_budget() {
-        // On a smooth landscape the GA should out-optimize random sampling
-        // given the same evaluation budget.
-        let space = unit_space(5);
-        let f = |g: &[f64]| -g.iter().map(|x| (x - 2.0) * (x - 2.0)).sum::<f64>();
-        let cfg = GaConfig {
-            population: 30,
-            generations: 30,
-            seed: 9,
-            ..GaConfig::default()
-        };
-        let ga = Optimizer::new(space.clone(), cfg).run(f);
-        let rnd = random_search(&space, ga.evaluations, 9, f);
-        assert!(
-            ga.best_fitness > rnd.best_fitness,
-            "ga {} vs random {}",
-            ga.best_fitness,
-            rnd.best_fitness
-        );
-    }
-
-    #[test]
-    fn paper_halving_crossover_still_converges_with_mutation() {
-        let space = SearchSpace::new(vec![GeneSpec::Real { min: 0.0, max: 4.0 }]);
-        let cfg = GaConfig {
-            crossover: Crossover::PaperHalving,
-            population: 40,
-            generations: 60,
-            ..GaConfig::default()
-        };
-        let r = Optimizer::new(space, cfg).run(|g| -(g[0] - 3.0).abs());
-        assert!((r.best_genome[0] - 3.0).abs() < 0.3, "{:?}", r.best_genome);
     }
 }

@@ -4,7 +4,8 @@
 //! cleanup threshold), integers (concurrent writers/compactors, cache MB),
 //! and categoricals (compaction strategy). Candidates are plain `Vec<f64>`
 //! genomes; integer and categorical genes are *soft* constraints handled by
-//! penalty during the search (§3.7.2) and repaired on extraction.
+//! Deb's feasibility rule during the search (§3.7.2) and repaired on
+//! extraction.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -171,52 +172,6 @@ impl SearchSpace {
             .map(|(g, &v)| g.repair(v))
             .collect()
     }
-
-    /// Cardinality of the discrete grid with `real_steps` levels per
-    /// continuous gene — the size of the exhaustive search the paper
-    /// contrasts against (~2,560 configurations for 5 key parameters).
-    pub fn grid_size(&self, real_steps: usize) -> u128 {
-        self.genes
-            .iter()
-            .map(|g| match *g {
-                GeneSpec::Real { .. } => real_steps as u128,
-                GeneSpec::Int { min, max } => (max - min + 1) as u128,
-                GeneSpec::Categorical { options } => options as u128,
-            })
-            .product()
-    }
-
-    /// Enumerates a full grid over the space with `real_steps` levels per
-    /// continuous gene; integers and categoricals enumerate every value.
-    /// Intended for the exhaustive-search baselines; check
-    /// [`SearchSpace::grid_size`] before calling.
-    pub fn enumerate_grid(&self, real_steps: usize) -> Vec<Vec<f64>> {
-        assert!(real_steps >= 2, "need at least 2 levels per real gene");
-        let levels: Vec<Vec<f64>> = self
-            .genes
-            .iter()
-            .map(|g| match *g {
-                GeneSpec::Real { min, max } => (0..real_steps)
-                    .map(|i| min + (max - min) * i as f64 / (real_steps - 1) as f64)
-                    .collect(),
-                GeneSpec::Int { min, max } => (min..=max).map(|v| v as f64).collect(),
-                GeneSpec::Categorical { options } => (0..options).map(|v| v as f64).collect(),
-            })
-            .collect();
-        let mut out: Vec<Vec<f64>> = vec![Vec::new()];
-        for level in &levels {
-            let mut next = Vec::with_capacity(out.len() * level.len());
-            for prefix in &out {
-                for &v in level {
-                    let mut g = prefix.clone();
-                    g.push(v);
-                    next.push(g);
-                }
-            }
-            out = next;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -267,28 +222,6 @@ mod tests {
         let g = GeneSpec::Int { min: 1, max: 10 };
         assert!(g.violation(1.15) > 0.0);
         assert_eq!(g.repair(1.15), 1.0);
-    }
-
-    #[test]
-    fn grid_enumeration_matches_size() {
-        let space = mixed_space();
-        let grid = space.enumerate_grid(5);
-        assert_eq!(grid.len() as u128, space.grid_size(5));
-        assert_eq!(grid.len(), 2 * 7 * 5);
-        assert!(grid.iter().all(|g| space.is_feasible(g)));
-    }
-
-    #[test]
-    fn grid_size_matches_paper_scale() {
-        // The paper's 5 key parameters: 2 * 4 * 8 * 10 * 4 = 2,560 points.
-        let space = SearchSpace::new(vec![
-            GeneSpec::Categorical { options: 2 },
-            GeneSpec::Categorical { options: 4 },
-            GeneSpec::Categorical { options: 8 },
-            GeneSpec::Categorical { options: 10 },
-            GeneSpec::Categorical { options: 4 },
-        ]);
-        assert_eq!(space.grid_size(10), 2_560);
     }
 
     #[test]

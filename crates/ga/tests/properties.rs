@@ -1,7 +1,17 @@
 //! Property-based tests for the genetic algorithm.
 
 use proptest::prelude::*;
-use rafiki_ga::{grid_search, random_search, GaConfig, GeneSpec, Optimizer, SearchSpace};
+use rafiki_ga::{GaConfig, GaResult, GaStepper, GeneSpec, SearchSpace};
+
+/// Drives a stepper to completion, scoring one genome at a time.
+fn run(space: SearchSpace, cfg: GaConfig, fitness: impl Fn(&[f64]) -> f64) -> GaResult {
+    let mut ga = GaStepper::new(space, cfg);
+    while !ga.is_done() {
+        let raw: Vec<f64> = ga.propose().iter().map(|g| fitness(g)).collect();
+        ga.observe(&raw);
+    }
+    ga.into_result()
+}
 
 fn arb_space() -> impl Strategy<Value = SearchSpace> {
     prop::collection::vec(
@@ -54,8 +64,7 @@ proptest! {
             seed,
             ..GaConfig::default()
         };
-        let result = Optimizer::new(space.clone(), cfg)
-            .run(|g| -g.iter().map(|x| x * x).sum::<f64>());
+        let result = run(space.clone(), cfg, |g| -g.iter().map(|x| x * x).sum::<f64>());
         prop_assert!(space.is_feasible(&result.best_genome), "{:?}", result.best_genome);
         prop_assert!(result.evaluations > 0);
     }
@@ -67,28 +76,12 @@ proptest! {
             GeneSpec::Int { min: 0, max: 20 },
         ]);
         let cfg = GaConfig { population: 20, generations: 15, seed, ..GaConfig::default() };
-        let result = Optimizer::new(space, cfg).run(|g| -(g[0] - 1.0).abs() - (g[1] - 7.0).abs());
+        let result = run(space, cfg, |g| -(g[0] - 1.0).abs() - (g[1] - 7.0).abs());
         // Elitism: history is non-decreasing.
         for w in result.history.windows(2) {
             prop_assert!(w[1] >= w[0] - 1e-9);
         }
         prop_assert!(result.best_fitness >= *result.history.first().unwrap() - 1e-9);
-    }
-
-    #[test]
-    fn run_batch_reproduces_run_genome_for_genome(space in arb_space(), seed in 0u64..200) {
-        let cfg = GaConfig {
-            population: 10,
-            generations: 5,
-            seed,
-            ..GaConfig::default()
-        };
-        let f = |g: &[f64]| -g.iter().map(|x| (x - 0.5) * (x - 0.5)).sum::<f64>();
-        let scalar = Optimizer::new(space.clone(), cfg).run(f);
-        let batch = Optimizer::new(space, cfg)
-            .run_batch(|pop| pop.iter().map(|g| f(g.as_slice())).collect());
-        // Identical RNG call order => bit-identical trajectories.
-        prop_assert_eq!(scalar, batch);
     }
 
     #[test]
@@ -99,8 +92,7 @@ proptest! {
             seed,
             ..GaConfig::default()
         };
-        let result = Optimizer::new(space.clone(), cfg)
-            .run(|g| if g[0] < 0.0 { f64::NAN } else { g[0] });
+        let result = run(space.clone(), cfg, |g| if g[0] < 0.0 { f64::NAN } else { g[0] });
         prop_assert_eq!(result.history.len(), 5);
         prop_assert!(space.is_feasible(&result.best_genome));
     }
@@ -116,30 +108,7 @@ proptest! {
             seed,
             ..GaConfig::default()
         };
-        let result = Optimizer::new(space.clone(), cfg)
-            .run(|g| -1_000.0 - g.iter().map(|x| x.abs()).sum::<f64>());
+        let result = run(space.clone(), cfg, |g| -1_000.0 - g.iter().map(|x| x.abs()).sum::<f64>());
         prop_assert!(space.is_feasible(&result.best_genome), "{:?}", result.best_genome);
-    }
-
-    #[test]
-    fn grid_search_dominates_any_grid_member(steps in 2usize..5) {
-        let space = SearchSpace::new(vec![
-            GeneSpec::Real { min: 0.0, max: 1.0 },
-            GeneSpec::Categorical { options: 3 },
-        ]);
-        let f = |g: &[f64]| (g[0] - 0.4).sin() + g[1];
-        let best = grid_search(&space, steps, f);
-        for genome in space.enumerate_grid(steps) {
-            prop_assert!(best.best_fitness >= f(&genome) - 1e-12);
-        }
-    }
-
-    #[test]
-    fn random_search_best_is_max_of_history(budget in 1usize..200, seed in 0u64..50) {
-        let space = SearchSpace::new(vec![GeneSpec::Real { min: -5.0, max: 5.0 }]);
-        let r = random_search(&space, budget, seed, |g| -g[0].abs());
-        prop_assert_eq!(r.history.len(), budget);
-        let max = r.history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(r.best_fitness, max);
     }
 }

@@ -1,10 +1,9 @@
 //! The paper's genetic algorithm wrapped as a [`SearchStrategy`].
 //!
 //! This is a zero-logic adapter over [`rafiki_ga::GaStepper`]: the
-//! proposal sequence, evaluation count, and final best are bit-identical
-//! to calling [`rafiki_ga::Optimizer::run_batch`] with the same space,
-//! config, and evaluator — the stepper *is* the optimizer's inner loop,
-//! and a test below pins the equivalence.
+//! proposal sequence, evaluation count, and final best are the
+//! stepper's own, and a test below pins them to a recorded trajectory.
+//! It is the tuner's default search (`RafikiTuner::optimize`).
 
 use crate::{SearchBest, SearchStrategy};
 use rafiki_ga::{GaConfig, GaResult, GaStepper, SearchSpace};
@@ -22,7 +21,7 @@ pub struct GaSearch {
 
 impl GaSearch {
     /// Creates the strategy. Panics on an invalid [`GaConfig`] exactly
-    /// like [`rafiki_ga::Optimizer::new`].
+    /// like [`GaStepper::new`].
     pub fn new(space: SearchSpace, cfg: GaConfig) -> Self {
         GaSearch {
             stepper: Some(GaStepper::new(space.clone(), cfg)),
@@ -33,8 +32,7 @@ impl GaSearch {
         }
     }
 
-    /// The GA's own result once finished (the bit-identical
-    /// [`GaResult`]), if the run is complete.
+    /// The GA's own result once finished, if the run is complete.
     pub fn result(&self) -> Option<&GaResult> {
         self.result.as_ref()
     }
@@ -84,8 +82,8 @@ impl SearchStrategy for GaSearch {
     }
 
     fn best(&self) -> Option<SearchBest> {
-        // Once the GA has ruled, its verdict is authoritative — that is
-        // what makes the outcome bit-identical to `Optimizer::run_batch`.
+        // Once the GA has ruled, its verdict (the repaired best of the
+        // last generation) is authoritative.
         if let Some(r) = &self.result {
             return Some(SearchBest {
                 genome: r.best_genome.clone(),
@@ -101,7 +99,6 @@ mod tests {
     use super::*;
     use crate::run_strategy;
     use crate::testutil::{batch_objective, wide_space};
-    use rafiki_ga::Optimizer;
 
     fn cfg(seed: u64) -> GaConfig {
         GaConfig {
@@ -112,17 +109,59 @@ mod tests {
         }
     }
 
+    /// One recorded GA run: seed, best genome, `best_fitness.to_bits()`,
+    /// and `history` as bits (evaluations are 12 * (7 + 1) + 1 = 97).
+    type Pin = (u64, [f64; 14], u64, [u64; 8]);
+
+    /// The trajectory of the GA for `cfg(seed)` over `wide_space()` and
+    /// `batch_objective`, recorded before the GA had one entry point.
+    /// Every policy table and tuned config rests on this sequence of
+    /// RNG draws and operators, so any drift fails here first.
+    #[rustfmt::skip]
+    const PINNED: [Pin; 5] = [
+        (0,
+         [1.0, 56.0, 46.0, 87.0, 0.0, 0.39826825806672006, 188.0, 3.0, 1000.0, 0.036214268801911025, 120.0, 4.0, 3.0, 12.0],
+         0xc060958d775c8446,
+         [0xc0783ff89d9e2be6, 0xc0783ff89d9e2be6, 0xc0783ff89d9e2be6, 0xc0783ff89d9e2be6,
+          0xc060958d775c8446, 0xc060958d775c8446, 0xc060958d775c8446, 0xc060958d775c8446]),
+        (1,
+         [1.0, 49.0, 43.0, 118.0, 0.0, 0.12094427846755071, 326.0, 10.0, 1000.0, 0.011640576683629413, 77.0, 4.0, 22.0, 4.0],
+         0xc062592498126a81,
+         [0xc07dbc168dff6068, 0xc07d91aceb1e7cb4, 0xc07d91aceb1e7cb4, 0xc07d91aceb1e7cb4,
+          0xc062750c049dae17, 0xc062750c049dae17, 0xc062750c049dae17, 0xc062592498126a81]),
+        (7,
+         [0.0, 55.0, 23.0, 220.0, 0.0, 0.193687523024439, 197.0, 14.0, 1831.0, 0.10680239370576555, 69.0, 8.0, 15.0, 14.0],
+         0xc07b5f851932c1bd,
+         [0xc081a30253c7bacd, 0xc081a30253c7bacd, 0xc081a2c8fbb7587f, 0xc081a2c8fbb7587f,
+          0xc081627e4f9d3f32, 0xc081574703d69742, 0xc081574703d69742, 0xc07b5f851932c1bd]),
+        (99,
+         [0.0, 116.0, 35.0, 200.0, 0.0, 0.8731869243136597, 297.0, 2.0, 1069.0, 0.15085876508194113, 103.0, 8.0, 28.0, 4.0],
+         0xc069062a47ff802b,
+         [0xc06b599dae059a55, 0xc06b599dae059a55, 0xc06b599dae059a55, 0xc06b599dae059a55,
+          0xc06af2cc4d994491, 0xc069062a47ff802b, 0xc069062a47ff802b, 0xc069062a47ff802b]),
+        (12345,
+         [1.0, 17.0, 32.0, 302.0, 1.0, 0.30027540815787734, 64.0, 7.0, 1000.0, 0.2, 242.0, 6.0, 24.0, 14.0],
+         0xc0658139941ffd66,
+         [0xc099633cc74b6500, 0xc0996194ba17afd0, 0xc0990639f9949d61, 0xc07ba431ea5dc5f0,
+          0xc07ba43170a215e9, 0xc07b96e7b643e0aa, 0xc07b96e7b643e0aa, 0xc0658139941ffd66]),
+    ];
+
     #[test]
-    fn bit_identical_to_direct_optimizer_run_batch() {
-        for seed in [0u64, 1, 7, 99, 12345] {
-            let direct = Optimizer::new(wide_space(), cfg(seed)).run_batch(batch_objective);
+    fn reproduces_the_pinned_trajectory() {
+        for (seed, genome, fitness_bits, history_bits) in PINNED {
             let mut strat = GaSearch::new(wide_space(), cfg(seed));
             let out = run_strategy(&mut strat, batch_objective);
-            assert_eq!(out.best_genome, direct.best_genome, "seed {seed}");
-            assert_eq!(out.best_fitness, direct.best_fitness, "seed {seed}");
-            assert_eq!(out.evaluations, direct.evaluations, "seed {seed}");
-            let result = strat.result().expect("finished");
-            assert_eq!(result.history, direct.history, "seed {seed}");
+            assert_eq!(out.best_genome, genome, "seed {seed}");
+            assert_eq!(out.best_fitness.to_bits(), fitness_bits, "seed {seed}");
+            assert_eq!(out.evaluations, 97, "seed {seed}");
+            let history: Vec<u64> = strat
+                .result()
+                .expect("finished")
+                .history
+                .iter()
+                .map(|h| h.to_bits())
+                .collect();
+            assert_eq!(history, history_bits, "seed {seed}");
         }
     }
 

@@ -13,9 +13,9 @@
 //!   one [`rafiki_neural::Surrogate::predict_batch`]-style matrix pass),
 //!   receives raw fitness values back, and is deterministic for a fixed
 //!   seed.
-//! - [`GaSearch`] — the existing [`rafiki_ga`] optimizer as a strategy,
-//!   bit-identical to driving [`rafiki_ga::Optimizer::run_batch`]
-//!   directly (pinned by test).
+//! - [`GaSearch`] — the paper's GA ([`rafiki_ga::GaStepper`]) as a
+//!   strategy, and the tuner's default search; its trajectory is pinned
+//!   by test.
 //! - [`BestConfigSearch`] — divide-and-diverge: Latin-hypercube rounds
 //!   that recursively bound the space around the incumbent on
 //!   improvement and diverge back to the full space when stuck.
@@ -306,6 +306,55 @@ mod tests {
             let (pa, pb) = (a.propose(), b.propose());
             assert_ne!(pa, pb, "{} ignored its seed", a.name());
         }
+    }
+
+    /// A 5-gene real box, the domain of [`sphere`].
+    fn box5() -> SearchSpace {
+        SearchSpace::new(vec![
+            GeneSpec::Real {
+                min: -5.0,
+                max: 5.0
+            };
+            5
+        ])
+    }
+
+    /// A sphere maximized at `(2, …, 2)`.
+    fn sphere(pop: &[Vec<f64>]) -> Vec<f64> {
+        pop.iter()
+            .map(|g| -g.iter().map(|x| (x - 2.0) * (x - 2.0)).sum::<f64>())
+            .collect()
+    }
+
+    #[test]
+    fn ga_beats_random_search_at_equal_budget() {
+        // On a smooth landscape the GA should out-optimize random sampling
+        // given the same evaluation budget.
+        let space = box5();
+        let cfg = GaConfig {
+            population: 30,
+            generations: 30,
+            seed: 9,
+            ..GaConfig::default()
+        };
+        let ga = run_strategy(&mut GaSearch::new(space.clone(), cfg), sphere);
+        let rnd = run_strategy(&mut RandomSearch::new(space, ga.evaluations, 30, 9), sphere);
+        assert_eq!(rnd.evaluations, ga.evaluations);
+        assert!(
+            ga.best_fitness > rnd.best_fitness,
+            "ga {} vs random {}",
+            ga.best_fitness,
+            rnd.best_fitness
+        );
+    }
+
+    #[test]
+    fn random_search_improves_with_budget() {
+        // Same seed and batch size: the large run's samples extend the
+        // small run's, so its best can only be at least as good.
+        let small = run_strategy(&mut RandomSearch::new(box5(), 10, 10, 5), sphere);
+        let large = run_strategy(&mut RandomSearch::new(box5(), 1_000, 10, 5), sphere);
+        assert!(large.best_fitness >= small.best_fitness);
     }
 
     #[test]
