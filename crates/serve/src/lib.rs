@@ -9,7 +9,7 @@
 //!
 //! - [`wire`] — a dependency-free newline-delimited JSON codec;
 //! - [`protocol`] — typed request/response frames (`op`, `batch`,
-//!   `stats`, `config`, `shutdown`);
+//!   `stats`, `config`, `metrics`, `shutdown`);
 //! - [`server`] — the daemon: a consistent-hash ring routes every
 //!   operation to one of N engine shards, each behind its own mutex.
 //!   The connection thread that read a frame runs each shard's slice of

@@ -17,8 +17,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`; protocol integers stay well
-    /// below 2^53 so the mapping is exact).
+    /// Any JSON number (stored as `f64`; protocol integers stay below
+    /// 2^53 so the mapping is exact).
     Num(f64),
     /// A string.
     Str(String),
@@ -72,10 +72,11 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer (must be whole and in range).
+    /// The value as a non-negative integer: whole and below 2^53, the
+    /// first value another integer's text can round onto.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }
     }
@@ -486,8 +487,13 @@ mod tests {
 
     #[test]
     fn accessors_enforce_types() {
-        let v = Json::parse(r#"{"n":3.5,"i":7,"s":"x","b":false}"#).unwrap();
+        let v = Json::parse(
+            r#"{"n":3.5,"i":7,"s":"x","b":false,"exact":9007199254740991,"rounded":9007199254740993}"#,
+        )
+        .unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), None, "3.5 is not an integer");
+        assert_eq!(v.get("exact").unwrap().as_u64(), Some((1 << 53) - 1));
+        assert_eq!(v.get("rounded").unwrap().as_u64(), None, "read as 2^53");
         assert_eq!(v.get("n").unwrap().as_f64(), Some(3.5));
         assert_eq!(v.get("i").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
