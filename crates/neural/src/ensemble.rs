@@ -81,16 +81,17 @@ pub struct SurrogateModel {
 
 impl SurrogateModel {
     /// Fits the surrogate on a dataset (unscaled feature/target units).
-    /// Networks are trained in parallel: a crossbeam scope spawns one
-    /// worker per available core, workers claim member indices from a
-    /// shared atomic counter (no lockstep batches, no stragglers) and
-    /// borrow the scaled training data instead of cloning it per thread.
-    /// Results are scattered back into index order after the scope joins,
+    /// Networks are trained in parallel through
+    /// [`rafiki_stats::parallel_indexed`]: one worker per available core,
+    /// workers claim member indices from a shared atomic counter (no
+    /// lockstep batches, no stragglers) and borrow the scaled training data
+    /// instead of cloning it per thread. Results come back in index order,
     /// so fitting is deterministic for a given `cfg.seed`.
     ///
     /// # Panics
     ///
-    /// Panics when `dataset` is empty or `cfg.ensemble_size == 0`.
+    /// Panics when `dataset` is empty or `cfg.ensemble_size == 0`, or when
+    /// training a member panics.
     pub fn fit(dataset: &Dataset, cfg: &SurrogateConfig) -> Self {
         assert!(!dataset.is_empty(), "cannot fit surrogate on empty dataset");
         assert!(cfg.ensemble_size > 0, "ensemble_size must be positive");
@@ -104,50 +105,14 @@ impl SurrogateModel {
             .map(|&t| y_scaler.transform_scalar(t))
             .collect();
 
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(cfg.ensemble_size);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (x_ref, y_ref, next_ref) = (&x, &y, &next);
-        let locals: Vec<Vec<(usize, Network, TrainReport)>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move |_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= cfg.ensemble_size {
-                                break;
-                            }
-                            let seed = cfg.seed.wrapping_add(i as u64);
-                            let mut net = Network::new(x_ref.cols(), &cfg.hidden, seed);
-                            let report =
-                                train_levenberg_marquardt(&mut net, x_ref, y_ref, &cfg.train);
-                            local.push((i, net, report));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("surrogate training thread panicked"))
-                .collect()
-        })
-        .expect("surrogate training scope panicked");
-
-        let mut slots: Vec<Option<(Network, TrainReport)>> =
-            (0..cfg.ensemble_size).map(|_| None).collect();
-        for local in locals {
-            for (i, net, report) in local {
-                slots[i] = Some((net, report));
-            }
-        }
-        let mut trained: Vec<(Network, TrainReport)> = slots
-            .into_iter()
-            .map(|t| t.expect("every ensemble member trained"))
-            .collect();
+        let mut trained: Vec<(Network, TrainReport)> =
+            rafiki_stats::parallel_indexed(cfg.ensemble_size, |i| {
+                let seed = cfg.seed.wrapping_add(i as u64);
+                let mut net = Network::new(x.cols(), &cfg.hidden, seed);
+                let report = train_levenberg_marquardt(&mut net, &x, &y, &cfg.train);
+                (net, report)
+            })
+            .expect("surrogate training thread panicked");
 
         // Prune the worst `prune_fraction` by training SSE.
         let keep = cfg.ensemble_size
@@ -344,6 +309,38 @@ mod tests {
         for (b, row) in batch.iter().zip(&rows) {
             assert_eq!(*b, model.predict(row));
         }
+    }
+
+    /// `predict_batch` bits of a six-network, 30%-pruned fit: pinned for
+    /// the same reason as the trainer's golden bits.
+    const GOLDEN_PREDICTIONS: [u64; 6] = [
+        4677100132509784180,
+        4676850978573665649,
+        4677713773725307909,
+        4678856353897162218,
+        4677697202186572725,
+        4679740148958331892,
+    ];
+
+    #[test]
+    fn fit_matches_golden_bits() {
+        let data = smooth_dataset(6);
+        let model = SurrogateModel::fit(&data, &quick_cfg(6));
+        assert_eq!((model.ensemble_size(), model.pruned_count()), (5, 1));
+        let rows = vec![
+            vec![0.0, 0.0],
+            vec![10.0, 2.0],
+            vec![37.0, 5.0],
+            vec![55.5, 7.1],
+            vec![90.0, 0.5],
+            vec![100.0, 8.0],
+        ];
+        let bits: Vec<u64> = model
+            .predict_batch(&Matrix::from_rows(&rows))
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(bits, GOLDEN_PREDICTIONS);
     }
 
     #[test]

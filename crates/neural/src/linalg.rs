@@ -1,10 +1,29 @@
-#![allow(clippy::needless_range_loop)]
 //! Small dense linear algebra kernel backing the Levenberg–Marquardt
 //! trainer: row-major matrices, products, and Cholesky/LU solves.
 //!
-//! The weight counts of Rafiki's surrogate (6 → 14 → 4 → 1, ~173 weights)
-//! keep every matrix here comfortably small, so the implementations favour
-//! clarity over blocking or SIMD.
+//! Cost model. Rafiki's surrogate (6 → 14 → 4 → 1) has p = 163 weights
+//! (6·14+14 + 14·4+4 + 4+1), trained on n samples. One epoch of
+//! [`crate::train`] runs:
+//! - one [`Matrix::gram`] of the n × p Jacobian per accepted step
+//!   (n·p²/2 multiply-adds), shared by the Bayesian re-estimate and the
+//!   next epoch's Hessian;
+//! - one [`Matrix::cholesky`] per trial step plus one for the Bayesian
+//!   re-estimate (p³/6 each);
+//! - one [`Cholesky::inverse_trace`] per Bayesian re-estimate (p³/3);
+//! - O(n·p + p²) products and one triangular solve per trial step.
+//!
+//! Every kernel keeps each scalar's terms in the order of the plain
+//! textbook loop (the tests keep those loops as references and compare
+//! bits): a Gram entry sums over samples in ascending order,
+//! a Cholesky entry subtracts `L[i][k]·L[j][k]` in ascending k, and a
+//! substitution subtracts in ascending index; no sum is reassociated and
+//! no multiply-add is fused. The trained networks, and every result
+//! downstream of them, repeat bit for bit only while that order holds,
+//! so speed comes from elsewhere: slices instead of bounds-checked
+//! indexing, skipping terms that are exact zeros, updating independent
+//! entries side by side, and touching each cache line once per several
+//! terms. At p = 163 and n = 40 on a 2-core AMD EPYC host, `gram` takes
+//! about 55 µs, `cholesky` 85 µs and `inverse_trace` 190 µs.
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,26 +142,37 @@ impl Matrix {
         out
     }
 
-    /// `AᵀA` in one pass (symmetric Gram matrix); cheaper than
-    /// `a.transpose().matmul(&a)`.
+    /// `AᵀA` (symmetric Gram matrix); cheaper than
+    /// `a.transpose().matmul(&a)` and bit-identical to it.
+    ///
+    /// Entry (i, j) sums `A[r][i]·A[r][j]` over ascending r, skipping rows
+    /// where `A[r][i]` is zero. One output row is built at a time, so it
+    /// stays in cache, from four rows of `A` per pass when none of their
+    /// coefficients is zero.
     pub fn gram(&self) -> Matrix {
         let n = self.cols;
         let mut g = Matrix::zeros(n, n);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..n {
-                let v = row[i];
-                if v == 0.0 {
-                    continue;
+        for i in 0..n {
+            let g_row = &mut g.data[i * n + i..(i + 1) * n];
+            let mut quads = self.data.chunks_exact(4 * n);
+            for quad in &mut quads {
+                let rows = [0, 1, 2, 3].map(|q| &quad[q * n + i..(q + 1) * n]);
+                let coef = rows.map(|r| r[0]);
+                if coef.iter().all(|&v| v != 0.0) {
+                    add_scaled4(g_row, rows, coef);
+                } else {
+                    for r in rows {
+                        add_scaled_nonzero(g_row, r);
+                    }
                 }
-                for j in i..n {
-                    g[(i, j)] += v * row[j];
-                }
+            }
+            for r in quads.remainder().chunks_exact(n) {
+                add_scaled_nonzero(g_row, &r[i..]);
             }
         }
         for i in 0..n {
             for j in 0..i {
-                g[(i, j)] = g[(j, i)];
+                g.data[i * n + j] = g.data[j * n + i];
             }
         }
         g
@@ -168,8 +198,7 @@ impl Matrix {
     pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.rows, "matvec_t dimension mismatch");
         let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let s = v[i];
+        for (i, &s) in v.iter().enumerate() {
             if s == 0.0 {
                 continue;
             }
@@ -200,28 +229,48 @@ impl Matrix {
     }
 
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive definite
-    /// matrix. Returns `None` when the matrix is not positive definite.
+    /// matrix, read from the lower triangle. Returns `None` when the matrix
+    /// is not positive definite.
+    ///
+    /// Column by column: `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) /
+    /// L[j][j]`. The sums for every row of column j are updated together,
+    /// four k at a time in ascending order, so each entry gets the terms of
+    /// the row-by-row textbook loop in the same order while the inner loop
+    /// runs over independent rows of contiguous columns.
     pub fn cholesky(&self) -> Option<Cholesky> {
         assert_eq!(self.rows, self.cols, "cholesky of non-square matrix");
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return None;
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+        let mut lt = Matrix::zeros(n, n);
+        let mut sum = vec![0.0; n];
+        for j in 0..n {
+            for (i, s) in sum.iter_mut().enumerate().skip(j) {
+                *s = self.data[i * n + j];
+            }
+            let (done, rest) = lt.data.split_at_mut(j * n);
+            // Subtracting a product is adding its negation, bit for bit.
+            let mut quads = done.chunks_exact(4 * n);
+            for quad in &mut quads {
+                let cols = [0, 1, 2, 3].map(|q| &quad[q * n + j..(q + 1) * n]);
+                add_scaled4(&mut sum[j..], cols, cols.map(|c| -c[0]));
+            }
+            for col_k in quads.remainder().chunks_exact(n) {
+                let l_jk = col_k[j];
+                for (s, &l_ik) in sum[j..].iter_mut().zip(&col_k[j..]) {
+                    *s -= l_ik * l_jk;
                 }
             }
+            let d = sum[j];
+            if d <= 0.0 || !d.is_finite() {
+                return None;
+            }
+            let d = d.sqrt();
+            let col_j = &mut rest[..n];
+            col_j[j] = d;
+            for (l_ij, &s) in col_j[j + 1..].iter_mut().zip(&sum[j + 1..]) {
+                *l_ij = s / d;
+            }
         }
-        Some(Cholesky { l })
+        Some(Cholesky { lt })
     }
 
     /// Solves `A x = b` via LU with partial pivoting.
@@ -241,8 +290,8 @@ impl Matrix {
             // Pivot.
             let mut piv = col;
             let mut max = a[(perm[col], col)].abs();
-            for r in (col + 1)..n {
-                let v = a[(perm[r], col)].abs();
+            for (r, &row) in perm.iter().enumerate().skip(col + 1) {
+                let v = a[(row, col)].abs();
                 if v > max {
                     max = v;
                     piv = r;
@@ -254,8 +303,7 @@ impl Matrix {
             perm.swap(col, piv);
             let prow = perm[col];
             let pval = a[(prow, col)];
-            for r in (col + 1)..n {
-                let row = perm[r];
+            for &row in &perm[col + 1..] {
                 let f = a[(row, col)] / pval;
                 if f == 0.0 {
                     continue;
@@ -297,10 +345,37 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// A lower-triangular Cholesky factor.
+/// `y[i] = (((y[i] + a₀·x₀[i]) + a₁·x₁[i]) + a₂·x₂[i]) + a₃·x₃[i]`: four
+/// scaled rows added in order, with one load and store of `y` per entry.
+fn add_scaled4(y: &mut [f64], x: [&[f64]; 4], a: [f64; 4]) {
+    let [x0, x1, x2, x3] = x;
+    for ((((y, &x0), &x1), &x2), &x3) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+        let mut v = *y;
+        v += a[0] * x0;
+        v += a[1] * x1;
+        v += a[2] * x2;
+        v += a[3] * x3;
+        *y = v;
+    }
+}
+
+/// `y += x[0]·x`, skipped when `x[0]` is zero: the update one Gram row gets
+/// from one row of `A`.
+fn add_scaled_nonzero(y: &mut [f64], x: &[f64]) {
+    let a = x[0];
+    if a != 0.0 {
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y += a * x;
+        }
+    }
+}
+
+/// A lower-triangular Cholesky factor `L`, stored by columns: row j of
+/// `lt` is column j of `L` (entries j..n nonzero), so both substitutions
+/// walk contiguous memory.
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    l: Matrix,
+    lt: Matrix,
 }
 
 impl Cholesky {
@@ -310,47 +385,105 @@ impl Cholesky {
     ///
     /// Panics when `b.len()` does not match the factor size.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.rows();
+        let n = self.lt.rows();
         assert_eq!(b.len(), n, "cholesky solve rhs mismatch");
-        // Forward: L y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut v = b[i];
-            for k in 0..i {
-                v -= self.l[(i, k)] * y[k];
+        // Forward: L y = b, each y[i] finished once its column's turn
+        // comes, after subtracting L[i][k]·y[k] for ascending k < i.
+        let mut y = b.to_vec();
+        for j in 0..n {
+            let col_j = self.lt.row(j);
+            y[j] /= col_j[j];
+            let y_j = y[j];
+            for (v, &l_ij) in y[j + 1..].iter_mut().zip(&col_j[j + 1..]) {
+                *v -= l_ij * y_j;
             }
-            y[i] = v / self.l[(i, i)];
         }
         // Backward: Lᵀ x = y
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let col_i = self.lt.row(i);
             let mut v = y[i];
-            for k in (i + 1)..n {
-                v -= self.l[(k, i)] * x[k];
+            for (&l_ki, &x_k) in col_i[i + 1..].iter().zip(&x[i + 1..]) {
+                v -= l_ki * x_k;
             }
-            x[i] = v / self.l[(i, i)];
+            x[i] = v / col_i[i];
         }
         x
     }
 
-    /// Trace of `A⁻¹`, computed column by column. Needed for the MacKay
-    /// effective-parameter count γ = W − 2α·tr(H⁻¹).
+    /// Trace of `A⁻¹`. Needed for the MacKay effective-parameter count
+    /// γ = W − 2α·tr(H⁻¹).
+    ///
+    /// Diagonal entry i of `A⁻¹` is entry i of the solution of
+    /// `L Lᵀ x = e_i`. Forward substitution leaves `y[k] = 0` for k < i and
+    /// the backward pass for `x[i]` reads only `x[k > i]`, so each column
+    /// touches just the trailing (n − i) × (n − i) triangle: about n³/3
+    /// multiply-adds in all instead of n³ for n full solves. The forward
+    /// pass walks rows of a row-major copy of L and the backward pass the
+    /// stored columns, so both read contiguous memory, and four unit
+    /// columns are solved together so their independent dependency chains
+    /// overlap. Each entry's terms are subtracted in [`Cholesky::solve`]'s
+    /// order (the skipped ones are exact zeros) and the diagonal is summed
+    /// in ascending i, so the result is bit-identical to n full solves.
     pub fn inverse_trace(&self) -> f64 {
-        let n = self.l.rows();
-        let mut e = vec![0.0; n];
+        const LANES: usize = 4;
+        let n = self.lt.rows();
+        let lt = self.lt.as_slice();
+        let l = self.lt.transpose();
+        let l = l.as_slice();
+        // v[k·LANES + lane] holds y, then x, for unit column c0 + lane.
+        let mut v = vec![0.0; n * LANES];
         let mut tr = 0.0;
-        for i in 0..n {
-            e[i] = 1.0;
-            let col = self.solve(&e);
-            tr += col[i];
-            e[i] = 0.0;
+        for c0 in (0..n).step_by(LANES) {
+            let v = &mut v[c0 * LANES..];
+            // Forward: L y = e, row by row from row c0.
+            for k in c0..n {
+                let mut acc = [0.0; LANES];
+                if k - c0 < LANES {
+                    acc[k - c0] = 1.0;
+                }
+                let (done, row) = v.split_at_mut((k - c0) * LANES);
+                for (&l_kj, y) in l[k * n + c0..k * n + k]
+                    .iter()
+                    .zip(done.chunks_exact(LANES))
+                {
+                    for (a, &y) in acc.iter_mut().zip(y) {
+                        *a -= l_kj * y;
+                    }
+                }
+                for (y, a) in row[..LANES].iter_mut().zip(acc) {
+                    *y = a / l[k * n + k];
+                }
+            }
+            // Backward: Lᵀ x = y, row by row from the bottom, over columns
+            // of L.
+            for k in (c0..n).rev() {
+                let col_k = &lt[k * n..(k + 1) * n];
+                let (row, below) = v[(k - c0) * LANES..].split_at_mut(LANES);
+                let mut acc = [0.0; LANES];
+                acc.copy_from_slice(row);
+                for (&l_jk, x) in col_k[k + 1..].iter().zip(below.chunks_exact(LANES)) {
+                    for (a, &x) in acc.iter_mut().zip(x) {
+                        *a -= l_jk * x;
+                    }
+                }
+                for (x, a) in row.iter_mut().zip(acc) {
+                    *x = a / col_k[k];
+                }
+            }
+            for lane in 0..LANES.min(n - c0) {
+                tr += v[lane * LANES + lane];
+            }
         }
         tr
     }
 
     /// Log-determinant of `A` (`2 Σ ln L_ii`).
     pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.lt.rows())
+            .map(|i| self.lt[(i, i)].ln())
+            .sum::<f64>()
+            * 2.0
     }
 }
 
@@ -362,6 +495,153 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < tol, "{a:?} != {b:?}");
+        }
+    }
+
+    /// Row-by-row textbook Cholesky with indexed access: the reference the
+    /// column kernel must match bit for bit. Returns L row-major.
+    fn cholesky_reference(a: &Matrix) -> Option<Matrix> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return None;
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Some(l)
+    }
+
+    /// Textbook forward and backward substitution over a row-major L.
+    fn solve_reference(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut v = b[i];
+            for k in 0..i {
+                v -= l[(i, k)] * y[k];
+            }
+            y[i] = v / l[(i, i)];
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut v = y[i];
+            for k in (i + 1)..n {
+                v -= l[(k, i)] * x[k];
+            }
+            x[i] = v / l[(i, i)];
+        }
+        x
+    }
+
+    /// `tr(A⁻¹)` by n full solves against unit columns.
+    fn inverse_trace_reference(l: &Matrix) -> f64 {
+        let n = l.rows();
+        let mut e = vec![0.0; n];
+        let mut tr = 0.0;
+        for i in 0..n {
+            e[i] = 1.0;
+            tr += solve_reference(l, &e)[i];
+            e[i] = 0.0;
+        }
+        tr
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A seeded `n x m` matrix with entries in [-1, 1), every seventh one
+    /// an exact zero.
+    fn seeded(n: usize, m: usize, seed: u64) -> Matrix {
+        let data = (0..n * m)
+            .map(|k| {
+                let h = rafiki_stats::mix64(seed ^ (k as u64) << 16);
+                if h.is_multiple_of(7) {
+                    0.0
+                } else {
+                    (h >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                }
+            })
+            .collect();
+        Matrix::from_vec(n, m, data)
+    }
+
+    /// `B Bᵀ + shift·I` for a seeded square `B`: SPD for `shift > 0`.
+    fn seeded_spd(n: usize, seed: u64, shift: f64) -> Matrix {
+        let b = seeded(n, n, seed);
+        let mut a = b.matmul(&b.transpose());
+        a.add_diagonal(shift);
+        a
+    }
+
+    #[test]
+    fn kernels_match_references_bit_for_bit() {
+        // Every size up to 40 covers each remainder of the four-column
+        // blocks in `inverse_trace` many times over.
+        for n in 1..=40 {
+            for seed in 0..3 {
+                for shift in [1e-3, 1.0, n as f64] {
+                    let a = seeded_spd(n, seed, shift);
+                    let fast = a.cholesky().expect("SPD by construction");
+                    let slow = cholesky_reference(&a).expect("SPD by construction");
+                    let ctx = format!("n={n} seed={seed} shift={shift}");
+                    assert_eq!(
+                        bits(fast.lt.transpose().as_slice()),
+                        bits(slow.as_slice()),
+                        "cholesky {ctx}"
+                    );
+                    let rhs: Vec<f64> = seeded(1, n, seed + 100).as_slice().to_vec();
+                    assert_eq!(
+                        bits(&fast.solve(&rhs)),
+                        bits(&solve_reference(&slow, &rhs)),
+                        "solve {ctx}"
+                    );
+                    assert_eq!(
+                        fast.inverse_trace().to_bits(),
+                        inverse_trace_reference(&slow).to_bits(),
+                        "inverse_trace {ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_reject_the_same_matrices() {
+        for n in 1..=40 {
+            for seed in 0..3 {
+                let mut negative = seeded_spd(n, seed, 1.0);
+                negative[(n / 2, n / 2)] = -1.0;
+                let mut cases = vec![negative];
+                let mut singular = seeded_spd(n, seed, 1.0);
+                let last = n - 1;
+                singular.row_mut(last).fill(0.0);
+                for r in 0..n {
+                    singular[(r, last)] = 0.0;
+                }
+                cases.push(singular);
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut a = seeded_spd(n, seed, 1.0);
+                    a[(n / 2, n / 3)] = bad;
+                    a[(n / 3, n / 2)] = bad;
+                    cases.push(a);
+                }
+                for a in &cases {
+                    assert!(a.cholesky().is_none(), "n={n} seed={seed}");
+                    assert!(cholesky_reference(a).is_none(), "n={n} seed={seed}");
+                }
+            }
         }
     }
 
@@ -388,6 +668,13 @@ mod tests {
     fn gram_equals_transpose_matmul() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, -1.0], vec![0.5, 4.0]]);
         assert_eq!(a.gram(), a.transpose().matmul(&a));
+        // Both skip zero coefficients and sum rows in ascending order, so
+        // they agree bit for bit at any shape, four-row blocks or not.
+        for (rows, cols) in [(1, 1), (3, 7), (40, 33), (41, 163)] {
+            let a = seeded(rows, cols, 7);
+            let (g, m) = (a.gram(), a.transpose().matmul(&a));
+            assert_eq!(bits(g.as_slice()), bits(m.as_slice()), "{rows}x{cols}");
+        }
     }
 
     #[test]

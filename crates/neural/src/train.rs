@@ -111,7 +111,14 @@ pub fn train_levenberg_marquardt(
     let mut mu = cfg.mu_init;
     let mut params = net.params();
 
-    let (mut residuals, mut jac) = residuals_and_jacobian(net, x, y);
+    // One forward cache per sample: a trial step fills them while computing
+    // residuals, and only an accepted step turns them into a Jacobian.
+    let mut caches = vec![ForwardCache::default(); n];
+    let mut residuals = forward_residuals(net, x, y, &mut caches);
+    let mut jac = jacobian(net, x, &caches);
+    // JᵀJ at the accepted point, shared by the Bayesian re-estimate and the
+    // next epoch's Hessian.
+    let mut gram = jac.gram();
     let mut ed: f64 = residuals.iter().map(|r| r * r).sum();
     let mut ew: f64 = params.iter().map(|w| w * w).sum();
     let mut f_obj = beta * ed + alpha * ew;
@@ -136,7 +143,7 @@ pub fn train_levenberg_marquardt(
         }
 
         // Gauss-Newton Hessian of F (without damping).
-        let mut hessian = jac.gram();
+        let mut hessian = gram.clone();
         hessian.scale(2.0 * beta);
         hessian.add_diagonal(2.0 * alpha);
 
@@ -153,7 +160,7 @@ pub fn train_levenberg_marquardt(
             let delta = chol.solve(&neg_g);
             let trial: Vec<f64> = params.iter().zip(&delta).map(|(&p, &d)| p + d).collect();
             net.set_params(&trial);
-            let (r_new, j_new) = residuals_and_jacobian(net, x, y);
+            let r_new = forward_residuals(net, x, y, &mut caches);
             let ed_new: f64 = r_new.iter().map(|r| r * r).sum();
             let ew_new: f64 = trial.iter().map(|w| w * w).sum();
             let f_new = beta * ed_new + alpha * ew_new;
@@ -161,7 +168,8 @@ pub fn train_levenberg_marquardt(
                 let improvement = (f_obj - f_new) / f_obj.max(1e-300);
                 params = trial;
                 residuals = r_new;
-                jac = j_new;
+                jac = jacobian(net, x, &caches);
+                gram = jac.gram();
                 ed = ed_new;
                 ew = ew_new;
                 f_obj = f_new;
@@ -186,7 +194,7 @@ pub fn train_levenberg_marquardt(
         if cfg.bayesian {
             // Re-estimate alpha/beta with the evidence framework, using the
             // Hessian at the accepted point.
-            let mut h = jac.gram();
+            let mut h = gram.clone();
             h.scale(2.0 * beta);
             h.add_diagonal(2.0 * alpha);
             if let Some(chol) = h.cholesky() {
@@ -212,21 +220,29 @@ pub fn train_levenberg_marquardt(
     }
 }
 
-/// Computes the residual vector `r_n = f(x_n) − y_n` and the Jacobian
-/// `J[n][i] = ∂f(x_n)/∂w_i`.
-fn residuals_and_jacobian(net: &Network, x: &Matrix, y: &[f64]) -> (Vec<f64>, Matrix) {
-    let n = x.rows();
-    let w = net.num_params();
-    let mut jac = Matrix::zeros(n, w);
-    let mut residuals = Vec::with_capacity(n);
-    let mut cache = ForwardCache::default();
-    for (s, &y_s) in y.iter().enumerate().take(n) {
-        let row = x.row(s);
-        let out = net.forward_cached(row, &mut cache);
-        residuals.push(out - y_s);
-        net.output_gradient(row, &cache, jac.row_mut(s));
+/// Computes the residual vector `r_n = f(x_n) − y_n`, leaving sample n's
+/// forward pass in `caches[n]`.
+fn forward_residuals(
+    net: &Network,
+    x: &Matrix,
+    y: &[f64],
+    caches: &mut [ForwardCache],
+) -> Vec<f64> {
+    y.iter()
+        .zip(caches.iter_mut())
+        .enumerate()
+        .map(|(s, (&y_s, cache))| net.forward_cached(x.row(s), cache) - y_s)
+        .collect()
+}
+
+/// Builds the Jacobian `J[n][i] = ∂f(x_n)/∂w_i` from the forward passes
+/// [`forward_residuals`] left in `caches` for the network's current parameters.
+fn jacobian(net: &Network, x: &Matrix, caches: &[ForwardCache]) -> Matrix {
+    let mut jac = Matrix::zeros(x.rows(), net.num_params());
+    for (s, cache) in caches.iter().enumerate() {
+        net.output_gradient(x.row(s), cache, jac.row_mut(s));
     }
-    (residuals, jac)
+    jac
 }
 
 #[cfg(test)]
@@ -344,6 +360,78 @@ mod tests {
         let (p2, s2) = run();
         assert_eq!(p1, p2);
         assert_eq!(s1, s2);
+    }
+
+    /// A deterministic 6 → [14, 4] → 1 problem of 40 rows: the shape of
+    /// the tuner's surrogate at the size of a quick tuning job.
+    fn golden_problem() -> (Matrix, Vec<f64>) {
+        let mut rows = Vec::new();
+        let mut targets = Vec::new();
+        for s in 0..40 {
+            let row: Vec<f64> = (0..6)
+                .map(|d| (0.37 * (s * (d + 1)) as f64 + d as f64).sin())
+                .collect();
+            targets.push(
+                (row[0] + 0.5 * row[1]).tanh() - 0.3 * row[2] * row[3]
+                    + 0.2 * (3.0 * row[4]).sin()
+                    + 0.1 * row[5]
+                    + 0.05 * (17.0 * s as f64).sin(),
+            );
+            rows.push(row);
+        }
+        (Matrix::from_rows(&rows), targets)
+    }
+
+    /// Folds every parameter's bit pattern into one `u64`.
+    fn params_fingerprint(net: &Network) -> u64 {
+        net.params()
+            .iter()
+            .fold(0, |h, p| rafiki_stats::mix64(h ^ p.to_bits()))
+    }
+
+    /// (seed, bayesian, epochs, stop, sse, alpha, beta, effective_params,
+    /// params fingerprint); the floats are `f64::to_bits`.
+    type Golden = (u64, bool, usize, StopReason, u64, u64, u64, u64, u64);
+
+    /// Pinned bits. The trainer's kernels must keep every scalar's term
+    /// order (see [`crate::linalg`]), so a change that moves a bit here
+    /// changed the arithmetic, not just its cost.
+    #[rustfmt::skip]
+    const GOLDEN: [Golden; 6] = [
+        (3, true, 200, StopReason::MaxEpochs, 4490809630228746420, 4609401494665760294, 4718778674123058687, 4630681066532886344, 12444852425184484357),
+        (3, false, 13, StopReason::GradientTolerance, 4313385546487598912, 0, 4607182418800017408, 4639939069214720000, 2306696108268915138),
+        (17, true, 200, StopReason::MaxEpochs, 4496107708387944288, 4610476201020316764, 4718448395076181195, 4630505433476348642, 2438984476162107705),
+        (17, false, 10, StopReason::GradientTolerance, 4284871073404534784, 0, 4607182418800017408, 4639939069214720000, 15136552713965234367),
+        (20171211, true, 200, StopReason::MaxEpochs, 4491112939761555596, 4610270116834112414, 4722032248222560960, 4630566897052654298, 846626141322321831),
+        (20171211, false, 200, StopReason::MaxEpochs, 4485739376885911327, 0, 4607182418800017408, 4639939069214720000, 3200275774593675413),
+    ];
+
+    #[test]
+    fn training_matches_golden_bits() {
+        let (x, y) = golden_problem();
+        let mut got = Vec::new();
+        for seed in [3, 17, 20171211] {
+            for bayesian in [true, false] {
+                let mut net = Network::new(6, &[14, 4], seed);
+                let cfg = TrainConfig {
+                    bayesian,
+                    ..TrainConfig::default()
+                };
+                let r = train_levenberg_marquardt(&mut net, &x, &y, &cfg);
+                got.push((
+                    seed,
+                    bayesian,
+                    r.epochs,
+                    r.stop,
+                    r.sse.to_bits(),
+                    r.alpha.to_bits(),
+                    r.beta.to_bits(),
+                    r.effective_params.to_bits(),
+                    params_fingerprint(&net),
+                ));
+            }
+        }
+        assert_eq!(got, GOLDEN);
     }
 
     #[test]
