@@ -5,13 +5,15 @@
 //! the engine's hot path (LRU cache touches and bloom-filter probes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rafiki_engine::store::{BloomFilter, LruCache, Memtable, PayloadArena, Row, SsTable};
+use rafiki_engine::store::{BloomFilter, LruCache, Memtable, Row, SsTable};
 use rafiki_engine::{run_benchmark, CompactionMethod, Engine, EngineConfig, ServerSpec};
 use rafiki_workload::{BenchmarkSpec, Key, WorkloadGenerator, WorkloadSpec};
 
 fn one_point(read_ratio: f64, method: CompactionMethod) -> f64 {
-    let mut cfg = EngineConfig::default();
-    cfg.compaction_method = method;
+    let cfg = EngineConfig {
+        compaction_method: method,
+        ..EngineConfig::default()
+    };
     let mut engine = Engine::new(cfg, ServerSpec::default());
     engine.preload(30_000, 1_000);
     let spec = WorkloadSpec {
@@ -79,10 +81,9 @@ fn bench_hot_path_ops(c: &mut Criterion) {
     // slot index (the BTree descent this replaced was ~15 cache-line
     // touches at this size). Paid once per simulated read.
     group.bench_function("memtable_get", |b| {
-        let arena = PayloadArena::default();
         let mut mem = Memtable::new();
         for i in 0..50_000u64 {
-            mem.insert(Row::new(Key(i), arena.payload(200, i), i + 1));
+            mem.insert(Row::new(Key(i), 200, i + 1));
         }
         let mut i = 0u64;
         b.iter(|| {
@@ -95,9 +96,8 @@ fn bench_hot_path_ops(c: &mut Criterion) {
     // a 64-key window over the dense key array. Paid once per
     // bloom-passing candidate table per read.
     group.bench_function("sstable_probe", |b| {
-        let arena = PayloadArena::default();
         let rows: Vec<Row> = (0..100_000u64)
-            .map(|i| Row::new(Key(i * 2), arena.payload(200, i), i + 1))
+            .map(|i| Row::new(Key(i * 2), 200, i + 1))
             .collect();
         let table = SsTable::from_rows(1, 0, rows, 0.01, 64 << 10);
         let mut i = 0u64;

@@ -103,7 +103,7 @@ fn dataset_cache_path(tag: &str) -> std::path::PathBuf {
     crate::output::output_dir().join(format!("dataset_{tag}.csv"))
 }
 
-/// Serializes a dataset to CSV (header + one row per sample).
+/// Writes a dataset as CSV (header + one row per sample).
 pub fn dataset_to_csv(data: &PerfDataset) -> String {
     let dims = data.samples.first().map_or(0, |s| s.genome.len());
     let mut out = String::from("read_ratio,config_index,throughput");

@@ -14,10 +14,9 @@ use crate::tuner::{RafikiTuner, TunerError};
 use rafiki_engine::EngineConfig;
 use rafiki_obs as obs;
 use rafiki_workload::{RegimeMarkovForecaster, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 /// Controller settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Minimum read-ratio change (absolute) that triggers re-optimization.
     pub rr_change_threshold: f64,
@@ -47,7 +46,7 @@ impl Default for ControllerConfig {
 }
 
 /// One window of the controller's decision log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowDecision {
     /// Window index within the trace.
     pub window: usize,
@@ -63,14 +62,12 @@ pub struct WindowDecision {
     /// Predicted throughput of the active configuration.
     pub predicted_throughput: f64,
     /// Human-readable explanation of why the controller switched or
-    /// held (absent in decision logs recorded before this field
-    /// existed).
-    #[serde(default)]
+    /// held.
     pub rationale: String,
 }
 
 /// Outcome of driving a controller across a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerReport {
     /// Per-window decisions.
     pub decisions: Vec<WindowDecision>,

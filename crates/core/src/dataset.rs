@@ -11,10 +11,9 @@ use crate::evaluator::EvalContext;
 use crate::search_space::ConfigSearchSpace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One benchmark sample `S_i = {W_i, C_i, P_i}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfSample {
     /// Workload read ratio.
     pub read_ratio: f64,
@@ -29,7 +28,7 @@ pub struct PerfSample {
 }
 
 /// A collected dataset.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PerfDataset {
     /// All samples.
     pub samples: Vec<PerfSample>,
@@ -90,7 +89,7 @@ impl PerfDataset {
 }
 
 /// Plan for a data-collection run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectionPlan {
     /// Number of sampled configurations (the paper uses 20; index 0 is
     /// always the default configuration).

@@ -5,10 +5,9 @@
 
 use rafiki_engine::{param_catalog, ParamId, ParamInfo};
 use rafiki_workload::WorkloadTrace;
-use serde::{Deserialize, Serialize};
 
 /// The application-specific performance objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PerformanceMetric {
     /// Mean operations per second — the MG-RAST objective (§2.3: "our
     /// workload is not latency sensitive, but rather is throughput
@@ -34,7 +33,7 @@ impl PerformanceMetric {
 }
 
 /// What the DBA provides before Rafiki can run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbaSpec {
     /// The metric to optimize.
     pub metric: PerformanceMetric,

@@ -6,10 +6,9 @@
 use rafiki_engine::{run_benchmark, Engine, EngineConfig, EngineSnapshot, ServerSpec};
 use rafiki_stats::parallel_indexed;
 use rafiki_workload::{BenchmarkResult, BenchmarkSpec, WorkloadGenerator, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Which datastore flavor to benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DbFlavor {
     /// The Cassandra-like engine: every configuration parameter respected.
     Cassandra,
@@ -19,7 +18,7 @@ pub enum DbFlavor {
 }
 
 /// Everything needed to benchmark a configuration under a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalContext {
     /// Hardware specification.
     pub server: ServerSpec,

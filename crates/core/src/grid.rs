@@ -104,8 +104,10 @@ mod tests {
         let mut points = Vec::new();
         for &rr in &[0.1, 0.5, 0.9] {
             for cw in [2u32, 8, 32] {
-                let mut cfg = EngineConfig::default();
-                cfg.concurrent_writes = cw;
+                let cfg = EngineConfig {
+                    concurrent_writes: cw,
+                    ..EngineConfig::default()
+                };
                 points.push((rr, cfg));
             }
         }
@@ -137,8 +139,10 @@ mod tests {
             rafiki_engine::CompactionMethod::SizeTiered,
             rafiki_engine::CompactionMethod::Leveled,
         ] {
-            let mut cfg = EngineConfig::default();
-            cfg.compaction_method = method;
+            let cfg = EngineConfig {
+                compaction_method: method,
+                ..EngineConfig::default()
+            };
             let seed = ctx.point_seed(3);
             let fresh = ctx.measure_detailed_seeded(0.7, &cfg, seed);
             let hydrated = ctx.measure_detailed_seeded_snapshot(0.7, &cfg, seed, Some(&snap));
@@ -189,8 +193,10 @@ mod tests {
         // validation panics inside the worker thread, and the grid
         // runner must propagate that instead of hanging or returning
         // partial results.
-        let mut bad = EngineConfig::default();
-        bad.bloom_filter_fp_chance = 1.5;
+        let bad = EngineConfig {
+            bloom_filter_fp_chance: 1.5,
+            ..EngineConfig::default()
+        };
         let points = vec![
             (0.5, EngineConfig::default()),
             (0.5, bad),

@@ -9,10 +9,9 @@
 use crate::evaluator::EvalContext;
 use rafiki_engine::{param_catalog, EngineConfig, ParamDomain, ParamInfo};
 use rafiki_stats::anova::{select_top_k_by_drop, OneWayAnova, ParameterEffect};
-use serde::{Deserialize, Serialize};
 
 /// Screening settings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreeningConfig {
     /// Workload read ratio used for the screen (a representative MG-RAST
     /// mix).
@@ -41,7 +40,7 @@ impl Default for ScreeningConfig {
 }
 
 /// One parameter's screening outcome.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParameterScreen {
     /// Catalog entry.
     pub info: ParamInfo,
@@ -56,7 +55,7 @@ pub struct ParameterScreen {
 }
 
 /// Serializable subset of the ANOVA result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnovaSummary {
     /// F statistic.
     pub f_statistic: f64,
@@ -67,7 +66,7 @@ pub struct AnovaSummary {
 }
 
 /// The full screening report.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScreeningReport {
     /// Per-parameter outcomes, sorted by descending effect.
     pub screens: Vec<ParameterScreen>,

@@ -128,8 +128,10 @@ mod tests {
 
     #[test]
     fn untuned_parameters_keep_base_values() {
-        let mut base = EngineConfig::default();
-        base.concurrent_reads = 48;
+        let base = EngineConfig {
+            concurrent_reads: 48,
+            ..EngineConfig::default()
+        };
         let space = ConfigSearchSpace::new(key_five(), base.clone());
         let cfg = space.config_from_genome(&space.default_genome());
         assert_eq!(cfg.concurrent_reads, 48);

@@ -10,7 +10,6 @@ use rafiki_ga::GaConfig;
 use rafiki_neural::{Matrix, Surrogate, SurrogateConfig, SurrogateModel};
 use rafiki_obs as obs;
 use rafiki_stats::parallel_indexed;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Tuner-level errors.
@@ -34,7 +33,7 @@ impl std::fmt::Display for TunerError {
 impl std::error::Error for TunerError {}
 
 /// Tuner configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TunerConfig {
     /// ANOVA screening settings; `None` skips the screen and uses
     /// [`TunerConfig::fixed_params`] (or the paper's five key parameters).

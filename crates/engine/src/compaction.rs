@@ -15,7 +15,6 @@
 
 use crate::fasthash::FastHashSet;
 use crate::store::{SsTable, TableId, TableSet};
-use serde::{Deserialize, Serialize};
 
 /// A planned compaction: merge `inputs` and emit the result at
 /// `output_level`.
@@ -30,7 +29,7 @@ pub struct CompactionJob {
 }
 
 /// Compaction strategy and its tuning constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Size-tiered compaction (STCS).
     SizeTiered {
@@ -266,7 +265,7 @@ fn plan_leveled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::row::{PayloadArena, Row};
+    use crate::store::row::Row;
     use rafiki_workload::Key;
 
     fn add_table(
@@ -275,10 +274,7 @@ mod tests {
         level: u8,
         payload: u32,
     ) -> TableId {
-        let arena = PayloadArena::default();
-        let rows: Vec<Row> = keys
-            .map(|k| Row::new(Key(k), arena.payload(payload, k), 1))
-            .collect();
+        let rows: Vec<Row> = keys.map(|k| Row::new(Key(k), payload, 1)).collect();
         let id = set.allocate_id();
         set.add(SsTable::from_rows(id, level, rows, 0.01, 64 << 10));
         id
@@ -384,11 +380,10 @@ mod tests {
         let mut set = TableSet::new();
         // Two old-window tables (versions < 1000) and four new-window ones.
         let add_versioned = |set: &mut TableSet, keys: std::ops::Range<u64>, version: u64| {
-            let arena = PayloadArena::default();
             let rows: Vec<Row> = keys
                 .map(|k| Row {
                     key: Key(k),
-                    payload: arena.payload(100, k),
+                    payload_len: 100,
                     version,
                     tombstone: false,
                 })
@@ -424,11 +419,10 @@ mod tests {
     #[test]
     fn twcs_waits_below_threshold() {
         let mut set = TableSet::new();
-        let arena = PayloadArena::default();
         for i in 0..3u64 {
             let rows = vec![Row {
                 key: Key(i),
-                payload: arena.payload(50, i),
+                payload_len: 50,
                 version: 9_000 + i,
                 tombstone: false,
             }];

@@ -10,11 +10,10 @@
 //! like their real-world counterparts.
 
 use crate::store::CommitlogSync;
-use serde::{Deserialize, Serialize};
 
 /// Which compaction strategy a table uses (`CM`, the paper's dominant
 /// parameter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompactionMethod {
     /// Size-tiered compaction — write-friendly, read-amplifying.
     SizeTiered,
@@ -26,7 +25,7 @@ pub enum CompactionMethod {
 /// cache is fixed-policy, but eviction is a classic knob in the wider
 /// NoSQL space (RocksDB exposes exactly this), and it stresses a tuner
 /// with a categorical that interacts with cache *size*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionPolicy {
     /// Least-recently-used: hits promote; evict the coldest entry.
     Lru,
@@ -38,7 +37,7 @@ pub enum EvictionPolicy {
 }
 
 /// The full engine configuration. Field names follow `cassandra.yaml`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// `CM`: compaction strategy.
     pub compaction_method: CompactionMethod,
@@ -210,7 +209,7 @@ impl EngineConfig {
 
 /// Identifiers for every tunable parameter, used by the tuner to map
 /// genome vectors onto configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ParamId {
     CompactionMethod,
@@ -246,7 +245,7 @@ pub enum ParamId {
 }
 
 /// Value domain of one parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParamDomain {
     /// `options` unordered choices encoded as `0..options`.
     Categorical {
@@ -270,7 +269,7 @@ pub enum ParamDomain {
 }
 
 /// Catalog entry describing one tunable parameter.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamInfo {
     /// Identifier.
     pub id: ParamId,
@@ -620,7 +619,7 @@ impl EngineConfig {
 
 /// One parameter's change across a reconfiguration (see
 /// [`EngineConfig::diff`]).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamChange {
     /// Identifier.
     pub id: ParamId,
@@ -635,7 +634,7 @@ pub struct ParamChange {
 /// Cost-model constants of the simulated server. These are calibration
 /// inputs, not tunables: they stand in for the Dell R430's CPU and JVM
 /// path lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Base CPU time of a write (commit-log append + memtable insert), µs.
     pub write_cpu_us: f64,
@@ -696,7 +695,7 @@ impl Default for CostModel {
 /// a Dell PowerEdge R430: 2x Xeon 4-core, 32 GB RAM, mirrored magnetic
 /// disks; our model scales the memory hierarchy down ~8x so experiments
 /// complete quickly — the response-surface *shape* is scale-invariant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSpec {
     /// Physical cores.
     pub cores: usize,
@@ -894,10 +893,12 @@ mod tests {
 
     #[test]
     fn flush_threshold_combines_spaces() {
-        let mut cfg = EngineConfig::default();
-        cfg.memtable_heap_space_mb = 100;
-        cfg.memtable_offheap_space_mb = 60;
-        cfg.memtable_cleanup_threshold = 0.5;
+        let cfg = EngineConfig {
+            memtable_heap_space_mb: 100,
+            memtable_offheap_space_mb: 60,
+            memtable_cleanup_threshold: 0.5,
+            ..EngineConfig::default()
+        };
         assert_eq!(cfg.memtable_flush_threshold_bytes(), 80 << 20);
     }
 }

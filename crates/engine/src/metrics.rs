@@ -1,10 +1,8 @@
 //! Engine-internal counters, exposed for experiment analysis and tests.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by one engine over its lifetime (reset at the end
 /// of the benchmark warm-up so measurements cover steady state only).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Read operations completed.
     pub reads_completed: u64,
@@ -29,7 +27,6 @@ pub struct EngineMetrics {
     /// Entries evicted from the file cache to make room (eviction
     /// pressure: a high rate relative to hits means the cache is too
     /// small for the working set).
-    #[serde(default)]
     pub file_cache_evictions: u64,
     /// Misses served by the OS page cache.
     pub os_cache_hits: u64,

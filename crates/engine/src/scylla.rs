@@ -22,10 +22,9 @@
 use crate::config::{EngineConfig, ServerSpec};
 use crate::server::{Engine, Flavor};
 use crate::sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The internal auto-tuner state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScyllaTuner {
     period: SimDuration,
     factor: f64,
@@ -180,9 +179,11 @@ mod tests {
 
     #[test]
     fn effective_config_overrides_concurrency() {
-        let mut user = EngineConfig::default();
-        user.concurrent_writes = 128;
-        user.file_cache_size_mb = 32;
+        let user = EngineConfig {
+            concurrent_writes: 128,
+            file_cache_size_mb: 32,
+            ..EngineConfig::default()
+        };
         let spec = ServerSpec::default();
         let eff = scylla_effective_config(&user, &spec);
         assert_eq!(eff.concurrent_writes, 24);

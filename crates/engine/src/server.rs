@@ -24,7 +24,7 @@ use crate::metrics::EngineMetrics;
 use crate::scylla::ScyllaTuner;
 use crate::sim::{CpuModel, DiskDevice, DiskReq, SimDuration, SimTime, WorkerPool};
 use crate::snapshot::{self, EngineSnapshot};
-use crate::store::{CommitLog, LruCache, Memtable, PayloadArena, Row, SsTable, TableId, TableSet};
+use crate::store::{CommitLog, LruCache, Memtable, Row, SsTable, TableId, TableSet};
 use rafiki_obs as obs;
 use rafiki_workload::{Key, OpKind, Operation};
 use std::cmp::Reverse;
@@ -139,7 +139,6 @@ pub struct Engine {
     write_pool: WorkerPool,
     read_pool: WorkerPool,
 
-    arena: PayloadArena,
     memtable: Memtable,
     tables: TableSet,
     commitlog: CommitLog,
@@ -262,7 +261,6 @@ impl Engine {
             // The row cache holds whole partitions; MG-RAST partitions are
             // wide, so each entry is charged ~8 KiB.
             row_cache: LruCache::new(((cfg.row_cache_size_mb as usize) << 20) / 16_384),
-            arena: PayloadArena::default(),
             memtable: Memtable::new(),
             tables: TableSet::new(),
             commitlog,
@@ -326,9 +324,11 @@ impl Engine {
     ///
     /// - the compaction strategy follows `compaction_method`;
     /// - the read/write worker pools are resized;
-    /// - caches whose capacity changed are rebuilt **cold** — part of the
-    ///   settle cost the controller's `reconfiguration_penalty` charges
-    ///   (unchanged caches keep their contents);
+    /// - caches whose capacity changed are rebuilt **cold** (unchanged
+    ///   caches keep their contents). That is a real settle cost on the
+    ///   simulated clock, but nothing charges it to the switch decision
+    ///   yet: the controller's `reconfiguration_penalty` is read nowhere
+    ///   (ROADMAP.md item 2, "A switching cost that is actually charged");
     /// - the commit log is recreated under the new sync policy when any
     ///   commit-log parameter changed.
     ///
@@ -469,13 +469,7 @@ impl Engine {
             self.tables.is_empty() && self.memtable.is_empty(),
             "preload must run on a fresh engine"
         );
-        let base = snapshot::build_preload_base(
-            keys,
-            payload_len,
-            self.preload_signature(),
-            &self.arena,
-            owns,
-        );
+        let base = snapshot::build_preload_base(keys, payload_len, self.preload_signature(), owns);
         self.install_preload(base.tables, base.version_counter);
     }
 
@@ -528,16 +522,6 @@ impl Engine {
         // for this table layout; start it so the benchmark observes the
         // steady-state churn.
         self.schedule_compactions();
-    }
-
-    fn make_row_raw(&mut self, key: Key, payload_len: u32) -> Row {
-        self.version_counter += 1;
-        Row::new(
-            key,
-            self.arena
-                .payload(payload_len, key.0 ^ self.version_counter),
-            self.version_counter,
-        )
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -677,11 +661,11 @@ impl Engine {
         let (_, cpu_done) = self.write_pool.dispatch(ready, service);
         let done = cpu_done.max(ack_after);
 
+        self.version_counter += 1;
         let row = if op.kind == OpKind::Delete {
-            self.version_counter += 1;
             Row::new_tombstone(op.key, self.version_counter)
         } else {
-            self.make_row_raw(op.key, op.payload_len)
+            Row::new(op.key, op.payload_len, self.version_counter)
         };
         self.memtable.insert(row);
         if self.row_cache.capacity() > 0 {
@@ -1168,6 +1152,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ROW_OVERHEAD_BYTES;
     use rafiki_workload::Operation;
 
     fn engine(cfg: EngineConfig) -> Engine {
@@ -1208,8 +1193,10 @@ mod tests {
 
     #[test]
     fn preload_creates_levels_for_lcs() {
-        let mut cfg = EngineConfig::default();
-        cfg.compaction_method = CompactionMethod::Leveled;
+        let cfg = EngineConfig {
+            compaction_method: CompactionMethod::Leveled,
+            ..EngineConfig::default()
+        };
         let e = engine(cfg);
         assert!(e.table_count() >= 1);
         // Non-overlapping: a point read has at most ~2 candidates.
@@ -1228,8 +1215,10 @@ mod tests {
             e.metrics().avg_candidates_per_read()
         };
         let stcs = read_ops(EngineConfig::default());
-        let mut lcfg = EngineConfig::default();
-        lcfg.compaction_method = CompactionMethod::Leveled;
+        let lcfg = EngineConfig {
+            compaction_method: CompactionMethod::Leveled,
+            ..EngineConfig::default()
+        };
         let lcs = read_ops(lcfg);
         assert!(
             stcs > lcs,
@@ -1238,10 +1227,47 @@ mod tests {
     }
 
     #[test]
+    fn oversized_payloads_are_charged_in_full() {
+        // Any u32 length a client sends is a valid payload: the row keeps
+        // the length and the simulator charges every byte of it.
+        fn finish(e: &mut Engine, op: Operation) {
+            let token = op.key.0;
+            e.submit(token, op, e.clock());
+            while let Some(done) = e.step() {
+                if done.iter().any(|c| c.token == token) {
+                    return;
+                }
+            }
+            panic!("{op:?} never completed");
+        }
+        let mut e = Engine::new(EngineConfig::default(), ServerSpec::default());
+        finish(&mut e, Operation::insert(Key(1), 2_000_000));
+        assert_eq!(
+            e.memtable.get(Key(1)).map(|r| r.payload_len),
+            Some(2_000_000)
+        );
+        assert_eq!(e.memtable_bytes(), 2_000_000 + ROW_OVERHEAD_BYTES);
+        finish(&mut e, Operation::read(Key(1)));
+
+        // Past the flush threshold: the memtable freezes and flushes, and
+        // the bytes move with it.
+        finish(&mut e, Operation::insert(Key(2), u32::MAX));
+        finish(&mut e, Operation::read(Key(2)));
+        assert_eq!(
+            e.memtable_bytes() + e.frozen_bytes() + e.on_disk_bytes(),
+            2_000_000 + u64::from(u32::MAX) + 2 * ROW_OVERHEAD_BYTES
+        );
+        assert_eq!(e.metrics().writes_completed, 2);
+        assert_eq!(e.metrics().reads_completed, 2);
+    }
+
+    #[test]
     fn writes_trigger_flushes_and_compactions() {
-        let mut cfg = EngineConfig::default();
-        cfg.memtable_heap_space_mb = 64;
-        cfg.memtable_cleanup_threshold = 0.1; // flush every ~6.4MB
+        let cfg = EngineConfig {
+            memtable_heap_space_mb: 64,
+            memtable_cleanup_threshold: 0.1, // flush every ~6.4MB
+            ..EngineConfig::default()
+        };
         let mut e = engine(cfg);
         let ops: Vec<Operation> = (0..30_000)
             .map(|i| Operation::insert(Key(100_000 + i), 1_000))
@@ -1276,8 +1302,10 @@ mod tests {
                 .collect()
         };
         for method in [CompactionMethod::SizeTiered, CompactionMethod::Leveled] {
-            let mut cfg = EngineConfig::default();
-            cfg.compaction_method = method;
+            let cfg = EngineConfig {
+                compaction_method: method,
+                ..EngineConfig::default()
+            };
 
             let mut fresh = Engine::new(cfg.clone(), ServerSpec::default());
             fresh.preload(50_000, 1_000);
@@ -1357,8 +1385,10 @@ mod tests {
     #[test]
     fn more_writers_speed_up_write_bursts_until_contention() {
         let throughput = |cw: u32| {
-            let mut cfg = EngineConfig::default();
-            cfg.concurrent_writes = cw;
+            let cfg = EngineConfig {
+                concurrent_writes: cw,
+                ..EngineConfig::default()
+            };
             let mut e = engine(cfg);
             let ops: Vec<Operation> = (0..20_000)
                 .map(|i| Operation::insert(Key(60_000 + i), 1_000))
@@ -1409,15 +1439,11 @@ mod tests {
 
     #[test]
     fn full_merge_purges_tombstones() {
-        use crate::store::{merge_tables, PayloadArena, Row, SsTable};
-        let arena = PayloadArena::default();
+        use crate::store::{merge_tables, Row, SsTable};
         let live = SsTable::from_rows(
             1,
             0,
-            vec![
-                Row::new(Key(1), arena.payload(50, 1), 1),
-                Row::new(Key(2), arena.payload(50, 2), 2),
-            ],
+            vec![Row::new(Key(1), 50, 1), Row::new(Key(2), 50, 2)],
             0.01,
             64 << 10,
         );
@@ -1465,8 +1491,10 @@ mod tests {
 
     #[test]
     fn row_cache_short_circuits_repeat_reads() {
-        let mut cfg = EngineConfig::default();
-        cfg.row_cache_size_mb = 128;
+        let cfg = EngineConfig {
+            row_cache_size_mb: 128,
+            ..EngineConfig::default()
+        };
         let mut e = engine(cfg);
         let ops: Vec<Operation> = (0..1_000).map(|_| Operation::read(Key(42))).collect();
         run_ops(&mut e, ops);
@@ -1491,11 +1519,13 @@ mod tests {
         assert!(tables_before > 0 && bytes_before > 0);
         let metrics_before = *e.metrics();
 
-        let mut next = EngineConfig::default();
-        next.compaction_method = CompactionMethod::Leveled;
-        next.concurrent_writes = 64;
-        next.file_cache_size_mb = 1_024;
-        next.row_cache_size_mb = 64;
+        let next = EngineConfig {
+            compaction_method: CompactionMethod::Leveled,
+            concurrent_writes: 64,
+            file_cache_size_mb: 1_024,
+            row_cache_size_mb: 64,
+            ..EngineConfig::default()
+        };
         let outcome = e.reconfigure(next.clone());
 
         let changed: Vec<&str> = outcome.changed.iter().map(|c| c.name).collect();
@@ -1553,9 +1583,11 @@ mod tests {
         let snapshot = *e.metrics();
         assert!(snapshot.reads_completed == 2_000 && snapshot.writes_completed == 2_000);
 
-        let mut next = EngineConfig::default();
-        next.file_cache_size_mb = 64; // rebuilt cold
-        next.concurrent_reads = 24;
+        let next = EngineConfig {
+            file_cache_size_mb: 64, // rebuilt cold
+            concurrent_reads: 24,
+            ..EngineConfig::default()
+        };
         let outcome = e.reconfigure(next);
         assert_eq!(outcome.changed.len(), 2);
 
@@ -1583,8 +1615,10 @@ mod tests {
     #[should_panic(expected = "concurrent_writes")]
     fn reconfigure_rejects_invalid_config() {
         let mut e = engine(EngineConfig::default());
-        let mut bad = EngineConfig::default();
-        bad.concurrent_writes = 0;
+        let bad = EngineConfig {
+            concurrent_writes: 0,
+            ..EngineConfig::default()
+        };
         e.reconfigure(bad);
     }
 }

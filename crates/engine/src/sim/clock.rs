@@ -5,19 +5,13 @@
 //! experiments are deterministic and run orders of magnitude faster than
 //! wall time while preserving queueing behaviour.
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in nanoseconds since simulation
 /// start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

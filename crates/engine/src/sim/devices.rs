@@ -9,10 +9,9 @@
 //! rather than stalling behind multi-second transfers.
 
 use super::clock::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Kind of disk request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskReq {
     /// Sequential read of `bytes`.
     SeqRead {
@@ -34,7 +33,7 @@ pub enum DiskReq {
 /// A single FCFS disk (the paper's server uses mirrored magnetic drives,
 /// which behave as one logical device for writes and one fast-path device
 /// for reads).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiskDevice {
     seq_read_mbps: f64,
     seq_write_mbps: f64,
@@ -104,7 +103,7 @@ impl DiskDevice {
 
 /// A pool of identical workers (Cassandra's `concurrent_writes` /
 /// `concurrent_reads` stages). A task grabs the earliest-free worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerPool {
     free_at: Vec<SimTime>,
 }
@@ -164,7 +163,7 @@ impl WorkerPool {
 /// factor (scheduling + cache-pollution overheads). This is what makes
 /// over-sized worker pools counterproductive — the CM x CW interdependency
 /// of Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Physical core count.
     pub cores: usize,

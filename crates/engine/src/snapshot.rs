@@ -13,13 +13,11 @@
 //! Determinism contract: hydrated state is bit-identical to a fresh
 //! preload because both paths run the same builder
 //! (`build_preload_base`) with the same inputs — the fresh path simply
-//! builds a base it uses once. The snapshot keeps its own
-//! [`PayloadArena`]; arenas are seeded deterministically, so payload
-//! bytes match a fresh engine's arena content exactly.
+//! builds a base it uses once.
 
 use crate::config::CompactionMethod;
 use crate::fasthash::FastHashMap;
-use crate::store::{PayloadArena, Row, SsTable, TableSet};
+use crate::store::{Row, SsTable, TableSet};
 use rafiki_workload::Key;
 use std::sync::{Arc, Mutex};
 
@@ -51,7 +49,6 @@ pub(crate) fn build_preload_base<F: Fn(u64) -> bool>(
     keys: u64,
     payload_len: u32,
     sig: SnapshotKey,
-    arena: &PayloadArena,
     owns: F,
 ) -> PreloadBase {
     assert!(keys > 0, "preload needs at least one key");
@@ -61,11 +58,7 @@ pub(crate) fn build_preload_base<F: Fn(u64) -> bool>(
     let mut version_counter = 0u64;
     let mut make_row = |key: Key| {
         version_counter += 1;
-        Row::new(
-            key,
-            arena.payload(payload_len, key.0 ^ version_counter),
-            version_counter,
-        )
+        Row::new(key, payload_len, version_counter)
     };
     match sig.method {
         CompactionMethod::SizeTiered => {
@@ -125,7 +118,6 @@ pub(crate) fn build_preload_base<F: Fn(u64) -> bool>(
 pub struct EngineSnapshot {
     keys: u64,
     payload_len: u32,
-    arena: PayloadArena,
     variants: Mutex<FastHashMap<SnapshotKey, Arc<PreloadBase>>>,
 }
 
@@ -142,7 +134,6 @@ impl EngineSnapshot {
         EngineSnapshot {
             keys,
             payload_len,
-            arena: PayloadArena::default(),
             variants: Mutex::new(FastHashMap::default()),
         }
     }
@@ -168,13 +159,9 @@ impl EngineSnapshot {
         variants
             .entry(sig)
             .or_insert_with(|| {
-                Arc::new(build_preload_base(
-                    self.keys,
-                    self.payload_len,
-                    sig,
-                    &self.arena,
-                    |_| true,
-                ))
+                Arc::new(build_preload_base(self.keys, self.payload_len, sig, |_| {
+                    true
+                }))
             })
             .clone()
     }
@@ -210,13 +197,7 @@ mod tests {
     fn built_bases_match_a_direct_build() {
         let snap = EngineSnapshot::new(2_000, 100);
         let base = snap.base_for(sig(CompactionMethod::SizeTiered));
-        let direct = build_preload_base(
-            2_000,
-            100,
-            sig(CompactionMethod::SizeTiered),
-            &PayloadArena::default(),
-            |_| true,
-        );
+        let direct = build_preload_base(2_000, 100, sig(CompactionMethod::SizeTiered), |_| true);
         assert_eq!(base.version_counter, direct.version_counter);
         assert_eq!(base.tables.len(), direct.tables.len());
         for (a, b) in base.tables.iter().zip(direct.tables.iter()) {

@@ -13,7 +13,6 @@
 //! contract, which the property test below pins.
 
 use rafiki_workload::Key;
-use serde::{Deserialize, Serialize};
 
 /// Bits per block: one 64-byte cache line.
 const BLOCK_BITS: u64 = 512;
@@ -25,7 +24,7 @@ const BLOCK_WORDS: usize = (BLOCK_BITS / 64) as usize;
 const BLOCKING_OVERPROVISION: f64 = 1.15;
 
 /// A blocked bloom filter over row keys.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     n_blocks: u64,

@@ -11,10 +11,9 @@
 //!   close every `batch_window`.
 
 use crate::sim::{DiskDevice, DiskReq, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Commit-log durability mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommitlogSync {
     /// Fsync on a timer; writes never wait (Cassandra's default).
     Periodic,

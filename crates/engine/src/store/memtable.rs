@@ -136,11 +136,9 @@ impl Memtable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::row::PayloadArena;
 
     fn row(key: u64, len: u32, version: u64) -> Row {
-        let arena = PayloadArena::default();
-        Row::new(Key(key), arena.payload(len, key ^ version), version)
+        Row::new(Key(key), len, version)
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub use bloom::BloomFilter;
 pub use cache::LruCache;
 pub use commitlog::{CommitLog, CommitlogSync};
 pub use memtable::Memtable;
-pub use row::{PayloadArena, Row, ROW_OVERHEAD_BYTES};
+pub use row::{Row, ROW_OVERHEAD_BYTES};
 pub use sstable::{merge_tables, SsTable, TableId};
 
 use rafiki_workload::Key;
@@ -142,13 +142,11 @@ impl TableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::row::PayloadArena;
 
     fn table(set: &mut TableSet, keys: &[u64], level: u8, version: u64) -> TableId {
-        let arena = PayloadArena::default();
         let rows: Vec<Row> = keys
             .iter()
-            .map(|&k| Row::new(Key(k), arena.payload(64, k), version))
+            .map(|&k| Row::new(Key(k), 64, version))
             .collect();
         let id = set.allocate_id();
         set.add(SsTable::from_rows(id, level, rows, 0.01, 64 << 10));

@@ -1,12 +1,10 @@
-//! Row values and the shared payload arena.
+//! Row values.
 //!
-//! Rows carry real byte payloads. To keep memory bounded while still
-//! moving genuine `Bytes` through the write/flush/compaction/read paths,
-//! payloads are slices of a shared pseudorandom arena (`Bytes` clones are
-//! reference-counted views, so a million rows cost ~32 bytes of metadata
-//! each, not a kilobyte of unique heap).
+//! A row carries the length of its payload, not the payload itself: the
+//! simulator charges flushes, compactions, reads and cache space by
+//! logical size, and nothing reads a value's bytes. A payload of any
+//! `u32` length costs a row no more memory than an empty one.
 
-use bytes::Bytes;
 use rafiki_workload::Key;
 
 /// Fixed per-row storage overhead (key, timestamps, flags) counted toward
@@ -18,8 +16,8 @@ pub const ROW_OVERHEAD_BYTES: u64 = 32;
 pub struct Row {
     /// Row key.
     pub key: Key,
-    /// The value bytes (empty for tombstones).
-    pub payload: Bytes,
+    /// Length of the value in bytes (0 for tombstones).
+    pub payload_len: u32,
     /// Monotonic write stamp; the newest version wins at read/compaction.
     pub version: u64,
     /// Whether this version is a deletion marker. Tombstones shadow older
@@ -30,10 +28,10 @@ pub struct Row {
 
 impl Row {
     /// A live row version.
-    pub fn new(key: Key, payload: Bytes, version: u64) -> Self {
+    pub fn new(key: Key, payload_len: u32, version: u64) -> Self {
         Row {
             key,
-            payload,
+            payload_len,
             version,
             tombstone: false,
         }
@@ -43,7 +41,7 @@ impl Row {
     pub fn new_tombstone(key: Key, version: u64) -> Self {
         Row {
             key,
-            payload: Bytes::new(),
+            payload_len: 0,
             version,
             tombstone: true,
         }
@@ -51,64 +49,7 @@ impl Row {
 
     /// Logical on-disk size of this row in bytes.
     pub fn logical_bytes(&self) -> u64 {
-        self.payload.len() as u64 + ROW_OVERHEAD_BYTES
-    }
-}
-
-/// A shared arena of pseudorandom bytes that payloads slice into.
-#[derive(Debug, Clone)]
-pub struct PayloadArena {
-    buf: Bytes,
-}
-
-impl PayloadArena {
-    /// Default arena size (1 MiB — larger than any single payload).
-    pub const DEFAULT_LEN: usize = 1 << 20;
-
-    /// Builds an arena of `len` bytes seeded deterministically.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `len == 0`.
-    pub fn new(len: usize, seed: u64) -> Self {
-        assert!(len > 0, "arena must be non-empty");
-        let mut state = seed | 1;
-        let mut buf = Vec::with_capacity(len);
-        while buf.len() < len {
-            // xorshift64* stream
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let word = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
-            buf.extend_from_slice(&word.to_le_bytes());
-        }
-        buf.truncate(len);
-        PayloadArena {
-            buf: Bytes::from(buf),
-        }
-    }
-
-    /// Produces a payload of `len` bytes; `tag` varies the offset so
-    /// different writes see different content windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `len` exceeds the arena size.
-    pub fn payload(&self, len: u32, tag: u64) -> Bytes {
-        let len = len as usize;
-        assert!(len <= self.buf.len(), "payload larger than arena");
-        if len == 0 {
-            return Bytes::new();
-        }
-        let span = self.buf.len() - len;
-        let offset = if span == 0 { 0 } else { (tag as usize) % span };
-        self.buf.slice(offset..offset + len)
-    }
-}
-
-impl Default for PayloadArena {
-    fn default() -> Self {
-        PayloadArena::new(Self::DEFAULT_LEN, 0xF0F0_1234)
+        u64::from(self.payload_len) + ROW_OVERHEAD_BYTES
     }
 }
 
@@ -117,42 +58,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn payloads_have_requested_length() {
-        let arena = PayloadArena::new(4096, 1);
-        for &len in &[0u32, 1, 100, 4096] {
-            assert_eq!(arena.payload(len, 7).len(), len as usize);
-        }
-    }
-
-    #[test]
-    fn different_tags_give_different_windows() {
-        let arena = PayloadArena::new(1 << 16, 2);
-        let a = arena.payload(64, 1);
-        let b = arena.payload(64, 9_999);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn payloads_share_storage() {
-        let arena = PayloadArena::new(1 << 16, 3);
-        let a = arena.payload(1024, 0);
-        let b = arena.payload(1024, 0);
-        // Same view: zero-copy clones of the arena.
-        assert_eq!(a, b);
-        assert_eq!(a.as_ptr(), b.as_ptr());
-    }
-
-    #[test]
     fn logical_size_includes_overhead() {
-        let arena = PayloadArena::default();
-        let row = Row::new(Key(1), arena.payload(100, 0), 1);
-        assert_eq!(row.logical_bytes(), 132);
+        assert_eq!(Row::new(Key(1), 100, 1).logical_bytes(), 132);
+        assert_eq!(
+            Row::new(Key(1), u32::MAX, 1).logical_bytes(),
+            u64::from(u32::MAX) + 32
+        );
+        assert_eq!(Row::new_tombstone(Key(1), 2).logical_bytes(), 32);
     }
 
     #[test]
-    #[should_panic]
-    fn oversized_payload_panics() {
-        let arena = PayloadArena::new(16, 4);
-        let _ = arena.payload(17, 0);
+    fn rows_stay_small() {
+        // Rows are cloned on every flush and compaction, so their size
+        // sets what those paths copy: key, length, version and flag.
+        assert_eq!(std::mem::size_of::<Row>(), 24);
     }
 }

@@ -292,12 +292,10 @@ pub fn merge_tables<F: FnMut() -> TableId>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::row::PayloadArena;
 
     fn rows(keys: &[u64], version: u64) -> Vec<Row> {
-        let arena = PayloadArena::default();
         keys.iter()
-            .map(|&k| Row::new(Key(k), arena.payload(100, k), version))
+            .map(|&k| Row::new(Key(k), 100, version))
             .collect()
     }
 
@@ -415,11 +413,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn unsorted_rows_rejected() {
-        let arena = PayloadArena::default();
-        let bad = vec![
-            Row::new(Key(5), arena.payload(10, 0), 1),
-            Row::new(Key(1), arena.payload(10, 1), 1),
-        ];
+        let bad = vec![Row::new(Key(5), 10, 1), Row::new(Key(1), 10, 1)];
         let _ = SsTable::from_rows(1, 0, bad, 0.01, 64 << 10);
     }
 

@@ -48,10 +48,9 @@ pub use space::{GeneSpec, SearchSpace};
 use rafiki_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for the genetic algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
     /// Population size.
     pub population: usize,
@@ -100,7 +99,7 @@ fn cmp_fitness(a: f64, b: f64) -> std::cmp::Ordering {
 }
 
 /// Outcome of a GA run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaResult {
     /// The best feasible genome found (repaired onto the constraint set).
     pub best_genome: Vec<f64>,

@@ -8,10 +8,9 @@
 //! extraction.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The type and bounds of one gene.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GeneSpec {
     /// A continuous value in `[min, max]`.
     Real {
@@ -96,7 +95,7 @@ impl GeneSpec {
 }
 
 /// An ordered collection of genes describing the whole search space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     genes: Vec<GeneSpec>,
 }

@@ -1,9 +1,7 @@
 //! Activation functions for the feed-forward layers.
 
-use serde::{Deserialize, Serialize};
-
 /// Supported activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Hyperbolic tangent — MATLAB's `tansig`, the default hidden-layer
     /// activation for the paper's surrogate.

@@ -18,10 +18,9 @@
 use crate::linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`Autoencoder::train`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoencoderConfig {
     /// Latent dimension `k` (must be ≥ 1 and ≤ the input dimension).
     pub latent_dim: usize,
@@ -48,7 +47,7 @@ impl Default for AutoencoderConfig {
 }
 
 /// A trained `d → k → d` autoencoder (tanh bottleneck, linear output).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Autoencoder {
     /// Encoder weights, `k x d` row-major.
     w1: Vec<f64>,

@@ -14,10 +14,9 @@ use crate::network::Network;
 use crate::scaler::MinMaxScaler;
 use crate::surrogate::Surrogate;
 use crate::train::{train_levenberg_marquardt, TrainConfig, TrainReport};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for fitting a [`SurrogateModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateConfig {
     /// Hidden layer sizes; the paper uses `[14, 4]`.
     pub hidden: Vec<usize>,
@@ -58,7 +57,7 @@ impl SurrogateConfig {
 }
 
 /// Regression quality metrics in the units the paper reports (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegressionMetrics {
     /// Mean absolute percentage error, in percent.
     pub mape: f64,

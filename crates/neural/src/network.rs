@@ -9,10 +9,9 @@ use crate::activation::Activation;
 use crate::linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One dense layer: `out = act(W * in + b)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Layer {
     /// Weight matrix, `out_dim x in_dim` stored row-major in a flat vec.
     weights: Vec<f64>,
@@ -39,7 +38,7 @@ impl Layer {
 }
 
 /// A fully connected feed-forward network with one linear output unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
     input_dim: usize,

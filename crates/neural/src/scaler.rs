@@ -2,12 +2,11 @@
 //! `mapminmax` preprocessing that the paper's toolbox applies by default.
 
 use crate::linalg::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-column min–max scaler mapping each feature to `[-1, 1]`.
 ///
 /// Columns that are constant in the fitting data are mapped to `0.0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     maxs: Vec<f64>,

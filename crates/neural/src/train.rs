@@ -16,10 +16,9 @@
 
 use crate::linalg::Matrix;
 use crate::network::{ForwardCache, Network};
-use serde::{Deserialize, Serialize};
 
 /// Why training stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Reached the epoch budget (the paper trains "until convergence or 200
     /// epochs, whichever comes first").
@@ -33,7 +32,7 @@ pub enum StopReason {
 }
 
 /// Hyperparameters for [`train_levenberg_marquardt`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Epoch budget. The paper uses 200.
     pub max_epochs: usize,
@@ -70,7 +69,7 @@ impl Default for TrainConfig {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Epochs actually executed.
     pub epochs: usize,

@@ -6,10 +6,9 @@
 //! Table 2 ablation can reproduce that comparison.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for [`RegressionTree::fit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeConfig {
     /// Maximum depth of the tree.
     pub max_depth: usize,
@@ -26,7 +25,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         value: f64,
@@ -41,7 +40,7 @@ enum Node {
 
 /// A CART-style regression tree with variance-reduction splits, each split
 /// testing a single feature (the paper's "single decision variable" nodes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     dims: usize,

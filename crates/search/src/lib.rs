@@ -44,10 +44,8 @@ pub use random::RandomSearch;
 
 pub use rafiki_ga::{GaConfig, GeneSpec, SearchSpace};
 
-use serde::Serialize;
-
 /// The best genome a strategy has seen so far, with its raw fitness.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchBest {
     /// The genome (feasible — strategies repair before reporting).
     pub genome: Vec<f64>,
@@ -112,7 +110,7 @@ pub trait SearchStrategy {
 }
 
 /// Outcome of driving a strategy to completion.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// [`SearchStrategy::name`] of the strategy that produced this.
     pub strategy: &'static str,

@@ -264,11 +264,41 @@ fn scenario() {
             .expect("send valid op");
         raw_reader.read_line(&mut line).expect("done frame");
         assert!(line.contains("\"done\""), "got: {line}");
+
+        // A payload larger than anything the workload generates is still
+        // a valid op: it completes, and its shard keeps serving the key.
+        line.clear();
+        raw_writer
+            .write_all(b"{\"type\":\"op\",\"kind\":\"insert\",\"key\":7,\"len\":2000000}\n")
+            .expect("send oversized insert");
+        raw_reader.read_line(&mut line).expect("done frame");
+        assert!(line.contains("\"done\""), "got: {line}");
+        line.clear();
+        raw_writer
+            .write_all(b"{\"type\":\"batch\",\"ops\":[[0,7],[2,7,2000000]]}\n")
+            .expect("send batch on the same key");
+        raw_reader.read_line(&mut line).expect("batch frame");
+        let results = Json::parse(&line).unwrap_or_else(|e| panic!("bad batch {line}: {e}"));
+        let results = results.get("results").and_then(Json::as_arr);
+        assert!(
+            results.is_some_and(|r| r.len() == 2 && r.iter().all(|v| v.as_f64().is_some())),
+            "got: {line}"
+        );
+        line.clear();
+        raw_writer
+            .write_all(b"{\"type\":\"stats\"}\n")
+            .expect("send stats");
+        raw_reader.read_line(&mut line).expect("stats frame");
+        assert!(line.contains("\"type\":\"stats\""), "got: {line}");
         drop(raw_writer);
 
         client.shutdown().expect("shutdown");
         let report = handle.join().expect("server thread");
-        assert_eq!(report.operations, total_ops + 1, "plus the raw-socket read");
+        assert_eq!(
+            report.operations,
+            total_ops + 4,
+            "plus the raw-socket read, oversized insert and batch"
+        );
         assert_eq!(report.windows_closed, (2 * PHASE_WINDOWS) as u64);
         assert_eq!(report.reconfigurations, stats.reconfigurations);
         assert!(report.reoptimizations >= stats.reoptimizations);

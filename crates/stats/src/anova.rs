@@ -105,7 +105,7 @@ impl OneWayAnova {
 /// throughput across its tested values. This is the quantity plotted in
 /// Figure 5 of the paper ("standard deviation in throughput for the top 20
 /// configuration parameters").
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParameterEffect {
     /// Parameter name.
     pub name: String,

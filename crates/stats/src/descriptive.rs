@@ -130,7 +130,7 @@ pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
 }
 
 /// A five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

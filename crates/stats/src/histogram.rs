@@ -10,7 +10,7 @@ use crate::StatsError;
 /// A histogram with equally sized bins over `[lo, hi)`; values outside the
 /// range are clamped into the first/last bin so that every observation is
 /// counted (matching how the paper's ±20% error plots bucket outliers).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -134,7 +134,7 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 /// single cumulative walk — no per-sample storage, no sort. The exact
 /// minimum, maximum, and sum are tracked on the side, so `mean()` and
 /// the extreme quantiles are exact.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingHistogram {
     counts: Vec<u64>,
     total: u64,

@@ -5,11 +5,10 @@
 use crate::op::{Key, Operation};
 use rafiki_stats::dist::Exponential;
 use rafiki_stats::StatsError;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The two workload features Rafiki feeds to its surrogate pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Characterization {
     /// Fraction of reads.
     pub read_ratio: f64,

@@ -2,10 +2,8 @@
 //! datastore engines: the run specification (the paper's YCSB "shooter"
 //! settings, §4.1–4.2) and the measured results.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of one benchmark run against a datastore.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkSpec {
     /// Measured duration in *simulated* seconds. The paper measures each
     /// point over 5 minutes of wall clock; the simulated engine compresses
@@ -52,7 +50,7 @@ impl BenchmarkSpec {
 }
 
 /// One throughput sample over a fixed window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputSample {
     /// Window end time in simulated seconds since the measurement began.
     pub time_secs: f64,
@@ -61,7 +59,7 @@ pub struct ThroughputSample {
 }
 
 /// The measured outcome of a benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkResult {
     /// Operations completed during the measured (post-warm-up) period.
     pub total_ops: u64,

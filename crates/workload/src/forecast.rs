@@ -8,7 +8,6 @@
 //! *before* an anticipated shift instead of one window after it.
 
 use crate::trace::Regime;
-use serde::{Deserialize, Serialize};
 
 const REGIMES: [Regime; 3] = [Regime::ReadHeavy, Regime::WriteHeavy, Regime::Mixed];
 
@@ -21,7 +20,7 @@ fn regime_index(r: Regime) -> usize {
 }
 
 /// An online first-order Markov forecaster over workload regimes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegimeMarkovForecaster {
     transitions: [[u64; 3]; 3],
     rr_sums: [f64; 3],

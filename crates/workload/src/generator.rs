@@ -8,11 +8,10 @@ use crate::op::{Key, Operation, OperationSource};
 use rafiki_stats::dist::Exponential;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Payload-size model for write operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadSpec {
     /// Every payload has the same size.
     Fixed(u32),
@@ -47,7 +46,7 @@ impl PayloadSpec {
 }
 
 /// Parameters of a synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Fraction of operations that are reads, in `[0, 1]`.
     pub read_ratio: f64,

@@ -19,13 +19,12 @@
 
 use crate::characterize::Characterization;
 use crate::op::{Key, Operation};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Summary of one closed characterization window, emitted by
 /// [`OnlineCharacterizer::observe`] every `window_ops` operations — the
 /// discrete analogue of the paper's 15-minute windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSummary {
     /// Zero-based window index.
     pub index: usize,

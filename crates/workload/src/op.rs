@@ -1,12 +1,8 @@
 //! Database operations and the source abstraction that feeds them to a
 //! datastore under test.
 
-use serde::{Deserialize, Serialize};
-
 /// A row key. MG-RAST shards map naturally onto 64-bit identifiers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Key(pub u64);
 
 impl std::fmt::Display for Key {
@@ -16,7 +12,7 @@ impl std::fmt::Display for Key {
 }
 
 /// The kind of a database operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
     /// Point read of a row.
     Read,
@@ -41,7 +37,7 @@ impl OpKind {
 }
 
 /// One operation issued against the datastore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Operation {
     /// What to do.
     pub kind: OpKind,

@@ -11,10 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One characterization window of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceWindow {
     /// Window index (0-based).
     pub index: usize,
@@ -25,7 +24,7 @@ pub struct TraceWindow {
 /// A workload trace: an RR value per fixed-length window plus the global
 /// key-reuse characteristics (the paper computes the KRD over the whole
 /// trace because it is stationary for MG-RAST, §3.5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadTrace {
     /// Window length in minutes (15 for MG-RAST).
     pub window_minutes: u32,
@@ -55,7 +54,7 @@ impl WorkloadTrace {
             .count()
     }
 
-    /// Serializes the trace to CSV (`window,read_ratio` rows with a
+    /// Writes the trace as CSV (`window,read_ratio` rows with a
     /// metadata header comment).
     pub fn to_csv(&self) -> String {
         let mut out = format!(
@@ -127,7 +126,7 @@ impl WorkloadTrace {
 }
 
 /// Workload regimes observed in MG-RAST.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Regime {
     /// Mostly reads (analysis phases).
     ReadHeavy,
@@ -161,7 +160,7 @@ impl Regime {
 }
 
 /// Generator for MG-RAST-like traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MgRastModel {
     /// Trace length in days (the paper observed 4).
     pub days: u32,

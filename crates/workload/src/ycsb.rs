@@ -10,10 +10,9 @@
 //! datastores").
 
 use crate::generator::{PayloadSpec, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// The YCSB core workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum YcsbPreset {
     /// Workload A — update heavy: 50% reads / 50% updates.
     A,

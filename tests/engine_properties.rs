@@ -2,24 +2,17 @@
 //! exercised across crate boundaries with proptest.
 
 use proptest::prelude::*;
-use rafiki_engine::store::{merge_tables, LruCache, Memtable, PayloadArena, Row, SsTable};
+use rafiki_engine::store::{merge_tables, LruCache, Memtable, Row, SsTable};
 use rafiki_engine::{replicas_of, ClusterSpec};
 use rafiki_workload::{Key, OperationSource, WorkloadGenerator, WorkloadSpec};
 
 fn rows_from_keys(keys: &[u64], version_base: u64) -> Vec<Row> {
-    let arena = PayloadArena::default();
     let mut sorted: Vec<u64> = keys.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
     sorted
         .into_iter()
-        .map(|k| {
-            Row::new(
-                Key(k),
-                arena.payload((k % 512) as u32 + 16, k),
-                version_base + k,
-            )
-        })
+        .map(|k| Row::new(Key(k), (k % 512) as u32 + 16, version_base + k))
         .collect()
 }
 
@@ -98,12 +91,11 @@ proptest! {
     fn memtable_mirrors_a_model_map(
         ops in prop::collection::vec((0u64..200, 16u32..256), 1..400),
     ) {
-        let arena = PayloadArena::default();
         let mut memtable = Memtable::new();
         let mut model: std::collections::BTreeMap<u64, u64> = Default::default();
         for (i, &(k, len)) in ops.iter().enumerate() {
             let version = i as u64 + 1;
-            memtable.insert(Row::new(Key(k), arena.payload(len, k), version));
+            memtable.insert(Row::new(Key(k), len, version));
             model.insert(k, version);
         }
         prop_assert_eq!(memtable.len(), model.len());
