@@ -1,5 +1,5 @@
-//! Observability for the Rafiki middleware: structured tracing and a
-//! metrics registry, both dependency-free.
+//! Observability for the Rafiki middleware: structured tracing and
+//! metric snapshots, both dependency-free.
 //!
 //! Rafiki's pitch is visibility into a running datastore, so the
 //! middleware itself must be inspectable: *why* did the controller
@@ -17,10 +17,11 @@
 //!   conventions as the serve wire codec), [`HumanSink`] (aligned
 //!   human-readable lines), [`MemorySink`] (for tests), and
 //!   [`TeeSink`] (fan-out);
-//! - [`metrics`] — a [`Registry`] of named [`Counter`]s, [`Gauge`]s and
-//!   log-linear latency [`HistogramHandle`]s (backed by
-//!   [`rafiki_stats::StreamingHistogram`]) with cheap atomic recording,
-//!   point-in-time [`Snapshot`]s, and Prometheus text exposition.
+//! - [`metrics`] — point-in-time [`Snapshot`]s of named counters,
+//!   gauges and latency [`HistogramSummary`]s (condensed from a
+//!   [`rafiki_stats::StreamingHistogram`]), [`labeled`] series names,
+//!   and Prometheus text exposition. The counts themselves live with
+//!   whoever owns them; a snapshot is built from them when asked.
 //!
 //! # Example
 //!
@@ -37,13 +38,17 @@
 //! assert_eq!(sink.events().len(), 2);
 //! obs::clear_subscriber();
 //!
-//! // Metrics: registry handles are cheap to record through.
-//! let registry = obs::Registry::new();
-//! let ops = registry.counter("demo_ops_total");
-//! ops.inc();
-//! let snapshot = registry.snapshot();
-//! assert_eq!(snapshot.counters, vec![("demo_ops_total".to_string(), 1)]);
-//! assert!(snapshot.prometheus_text().contains("demo_ops_total 1"));
+//! // Metrics: a snapshot is plain data, rendered on demand.
+//! let snapshot = obs::Snapshot {
+//!     counters: vec![
+//!         ("demo_ops_total".to_string(), 3),
+//!         (obs::labeled("demo_ops_total", &[("shard", "0")]), 3),
+//!     ],
+//!     ..obs::Snapshot::default()
+//! };
+//! let text = snapshot.prometheus_text();
+//! assert!(text.contains("demo_ops_total 3"));
+//! assert!(text.contains("demo_ops_total{shard=\"0\"} 3"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +58,7 @@ pub mod metrics;
 pub mod sink;
 pub mod trace;
 
-pub use metrics::{labeled, Counter, Gauge, HistogramHandle, HistogramSummary, Registry, Snapshot};
+pub use metrics::{labeled, HistogramSummary, Snapshot};
 pub use sink::{FilterSink, HumanSink, JsonlSink, MemorySink, TeeSink};
 pub use trace::{
     clear_subscriber, enabled, event, set_subscriber, span, Event, EventKind, Level, Span,

@@ -1,114 +1,20 @@
-//! The metrics registry: named counters, gauges, and log-linear
-//! latency histograms with cheap recording and point-in-time snapshots.
+//! Metric snapshots: named counter, gauge and latency-summary values
+//! captured at a point in time, and their Prometheus text exposition.
 //!
-//! A [`Registry`] is an instance, not a global: each server (or test)
-//! owns its own, so parallel tests never contaminate each other.
-//! Handles ([`Counter`], [`Gauge`], [`HistogramHandle`]) are `Arc`s
-//! into the registry's slots — clone them once at startup and record
-//! through them without touching the registry's name map again.
-//! [`Registry::snapshot`] captures everything at a point in time, in
-//! sorted name order, and [`Snapshot::prometheus_text`] renders the
-//! standard text exposition format.
+//! A [`Snapshot`] is plain data. Whoever owns the counts builds one
+//! when asked (the serve daemon builds its `metrics` frame from the
+//! same shard snapshots as its `stats` frame), so every event is
+//! counted in one place. [`HistogramSummary::of`] condenses a
+//! [`StreamingHistogram`], [`labeled`] names a per-series label set,
+//! and [`Snapshot::prometheus_text`] renders the standard text format.
 
 use rafiki_stats::StreamingHistogram;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 
-/// A monotonically increasing `u64` counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable `f64` gauge (stored as bits in an atomic, so reads and
-/// writes are lock-free).
-#[derive(Debug)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// A handle to a named [`StreamingHistogram`] in a registry.
-#[derive(Debug, Default)]
-pub struct HistogramHandle {
-    inner: Mutex<StreamingHistogram>,
-}
-
-impl HistogramHandle {
-    /// Records one observation (typically a latency in microseconds).
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.lock().record(value);
-    }
-
-    /// Merges a locally accumulated histogram in one lock acquisition —
-    /// the batched path for hot loops that keep a thread-local
-    /// histogram and merge every N samples.
-    pub fn merge_from(&self, other: &StreamingHistogram) {
-        self.lock().merge(other);
-    }
-
-    /// A copy of the current histogram state.
-    pub fn snapshot(&self) -> StreamingHistogram {
-        self.lock().clone()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, StreamingHistogram> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-enum Slot {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<HistogramHandle>),
-}
-
-/// Builds a labeled metric name, `name{k1="v1",k2="v2"}`. Labeled series
-/// are ordinary registry entries — the label set is part of the name —
-/// so a per-shard series (`ops_total{shard="3"}`) coexists with the
-/// unlabeled aggregate (`ops_total`) and [`Snapshot::prometheus_text`]
-/// groups both under one `# TYPE` family line.
+/// Builds a labeled metric name, `name{k1="v1",k2="v2"}`. The label set
+/// is part of the series name, so a per-shard series
+/// (`ops_total{shard="3"}`) sits beside the unlabeled aggregate
+/// (`ops_total`) and [`Snapshot::prometheus_text`] groups both under one
+/// `# TYPE` family line.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(name.len() + 16 * labels.len());
@@ -136,83 +42,6 @@ fn split_labels(name: &str) -> (&str, Option<&str>) {
     match name.find('{') {
         Some(i) => (&name[..i], Some(name[i + 1..].trim_end_matches('}'))),
         None => (name, None),
-    }
-}
-
-/// A named collection of metrics. See the module docs.
-#[derive(Default)]
-pub struct Registry {
-    slots: RwLock<BTreeMap<String, Slot>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Returns the counter named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Arc::new(Counter::default())))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
-    }
-
-    /// Returns the gauge named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Arc::new(Gauge::default())))
-        {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
-    }
-
-    /// Returns the histogram named `name`, creating it if absent.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different metric type.
-    pub fn histogram(&self, name: &str) -> Arc<HistogramHandle> {
-        let mut slots = self.slots.write().unwrap_or_else(|p| p.into_inner());
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Histogram(Arc::new(HistogramHandle::default())))
-        {
-            Slot::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
-    }
-
-    /// Captures every metric at a point in time, sorted by name.
-    pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.read().unwrap_or_else(|p| p.into_inner());
-        let mut snapshot = Snapshot::default();
-        for (name, slot) in slots.iter() {
-            match slot {
-                Slot::Counter(c) => snapshot.counters.push((name.clone(), c.get())),
-                Slot::Gauge(g) => snapshot.gauges.push((name.clone(), g.get())),
-                Slot::Histogram(h) => {
-                    let hist = h.snapshot();
-                    snapshot
-                        .histograms
-                        .push((name.clone(), HistogramSummary::of(&hist)));
-                }
-            }
-        }
-        snapshot
     }
 }
 
@@ -247,8 +76,8 @@ impl HistogramSummary {
     }
 }
 
-/// Everything a [`Registry`] held at snapshot time, each section in
-/// sorted name order.
+/// Named metric values at one point in time, each section in sorted
+/// name order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// `(name, value)` for every counter.
@@ -313,42 +142,24 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_snapshot_sorted() {
-        let registry = Registry::new();
-        let b = registry.counter("b_total");
-        let a = registry.counter("a_total");
-        a.inc();
-        b.add(5);
-        registry.counter("a_total").inc(); // same slot by name
-        let snapshot = registry.snapshot();
-        assert_eq!(
-            snapshot.counters,
-            vec![("a_total".to_string(), 2), ("b_total".to_string(), 5)]
-        );
-    }
-
-    #[test]
-    fn gauges_hold_floats() {
-        let registry = Registry::new();
-        let g = registry.gauge("read_ratio");
-        g.set(0.75);
-        assert_eq!(g.get(), 0.75);
-        g.set(-1.5);
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.gauges, vec![("read_ratio".to_string(), -1.5)]);
+    fn summary(count: u64, sum: u128, min: u64, p50: u64, p99: u64, max: u64) -> HistogramSummary {
+        HistogramSummary {
+            count,
+            sum,
+            min,
+            p50,
+            p99,
+            max,
+        }
     }
 
     #[test]
     fn histograms_summarize_quantiles() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat_us");
+        let mut hist = StreamingHistogram::new();
         for v in 1..=100u64 {
-            h.record(v);
+            hist.record(v);
         }
-        let snapshot = registry.snapshot();
-        let (name, summary) = &snapshot.histograms[0];
-        assert_eq!(name, "lat_us");
+        let summary = HistogramSummary::of(&hist);
         assert_eq!(summary.count, 100);
         assert_eq!(summary.sum, 5050);
         assert_eq!(summary.min, 1);
@@ -358,38 +169,32 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_from_equals_bulk_record() {
-        let registry = Registry::new();
-        let h = registry.histogram("lat_us");
-        let mut local = StreamingHistogram::new();
-        for v in [3u64, 9, 27, 81] {
-            local.record(v);
-        }
-        h.merge_from(&local);
-        h.record(243);
-        let merged = h.snapshot();
-        let mut bulk = StreamingHistogram::new();
-        for v in [3u64, 9, 27, 81, 243] {
-            bulk.record(v);
-        }
-        assert_eq!(merged, bulk);
-    }
-
-    #[test]
     fn empty_histogram_summary_is_zeroed() {
         let summary = HistogramSummary::of(&StreamingHistogram::new());
         assert_eq!(summary, HistogramSummary::default());
+        let snapshot = Snapshot {
+            histograms: vec![("lat_us".to_string(), summary)],
+            ..Snapshot::default()
+        };
+        assert_eq!(
+            snapshot.prometheus_text(),
+            "# TYPE lat_us summary\n\
+             lat_us{quantile=\"0.5\"} 0\n\
+             lat_us{quantile=\"0.99\"} 0\n\
+             lat_us{quantile=\"1\"} 0\n\
+             lat_us_sum 0\n\
+             lat_us_count 0\n"
+        );
     }
 
     #[test]
     fn prometheus_text_covers_all_sections() {
-        let registry = Registry::new();
-        registry.counter("ops_total").add(7);
-        registry.gauge("rr").set(0.5);
-        let h = registry.histogram("lat_us");
-        h.record(10);
-        h.record(20);
-        let text = registry.snapshot().prometheus_text();
+        let snapshot = Snapshot {
+            counters: vec![("ops_total".to_string(), 7)],
+            gauges: vec![("rr".to_string(), 0.5)],
+            histograms: vec![("lat_us".to_string(), summary(2, 30, 10, 10, 20, 20))],
+        };
+        let text = snapshot.prometheus_text();
         assert!(text.contains("# TYPE ops_total counter"), "{text}");
         assert!(text.contains("ops_total 7"), "{text}");
         assert!(text.contains("# TYPE rr gauge"), "{text}");
@@ -399,14 +204,6 @@ mod tests {
         assert!(text.contains("lat_us{quantile=\"1\"} 20"), "{text}");
         assert!(text.contains("lat_us_sum 30"), "{text}");
         assert!(text.contains("lat_us_count 2"), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "different type")]
-    fn name_collision_across_types_panics() {
-        let registry = Registry::new();
-        registry.counter("x");
-        registry.gauge("x");
     }
 
     #[test]
@@ -424,18 +221,19 @@ mod tests {
 
     #[test]
     fn labeled_series_share_one_type_line_with_the_aggregate() {
-        let registry = Registry::new();
-        registry.counter("ops_total").add(10);
-        registry
-            .counter(&labeled("ops_total", &[("shard", "0")]))
-            .add(4);
-        registry
-            .counter(&labeled("ops_total", &[("shard", "1")]))
-            .add(6);
-        // A name that sorts *between* `ops_total` and `ops_total{…`
-        // (ASCII '{' > any letter) must not break family grouping.
-        registry.counter("ops_totalx").add(1);
-        let text = registry.snapshot().prometheus_text();
+        // Sorted by name, as a snapshot's sections are: a name that sorts
+        // *between* `ops_total` and `ops_total{…` (ASCII '{' > any
+        // letter) must not break family grouping.
+        let snapshot = Snapshot {
+            counters: vec![
+                ("ops_total".to_string(), 10),
+                ("ops_totalx".to_string(), 1),
+                (labeled("ops_total", &[("shard", "0")]), 4),
+                (labeled("ops_total", &[("shard", "1")]), 6),
+            ],
+            ..Snapshot::default()
+        };
+        let text = snapshot.prometheus_text();
         assert_eq!(
             text.matches("# TYPE ops_total counter").count(),
             1,
@@ -449,11 +247,14 @@ mod tests {
 
     #[test]
     fn labeled_histograms_merge_labels_into_quantiles() {
-        let registry = Registry::new();
-        let h = registry.histogram(&labeled("lat_us", &[("shard", "2")]));
-        h.record(10);
-        h.record(30);
-        let text = registry.snapshot().prometheus_text();
+        let snapshot = Snapshot {
+            histograms: vec![(
+                labeled("lat_us", &[("shard", "2")]),
+                summary(2, 40, 10, 10, 30, 30),
+            )],
+            ..Snapshot::default()
+        };
+        let text = snapshot.prometheus_text();
         assert!(text.contains("# TYPE lat_us summary"), "{text}");
         assert!(
             text.contains("lat_us{shard=\"2\",quantile=\"0.5\"} 10"),

@@ -116,8 +116,8 @@ impl Client {
         }
     }
 
-    /// Fetches the daemon's metrics registry snapshot (counters, gauges,
-    /// histogram summaries, and the Prometheus text exposition).
+    /// Fetches the daemon's metric series (counters, gauges, histogram
+    /// summaries, and the Prometheus text exposition).
     ///
     /// # Errors
     ///

@@ -71,8 +71,8 @@ pub enum Request {
     Stats,
     /// Report the active configuration and reconfiguration history.
     Config,
-    /// Report a full metrics-registry snapshot (counters, gauges,
-    /// histogram summaries) plus its Prometheus text exposition.
+    /// Report every metric series (counters, gauges, histogram
+    /// summaries) plus their Prometheus text exposition.
     Metrics,
     /// Stop the daemon (all connections drain, the accept loop exits).
     Shutdown,
@@ -436,7 +436,7 @@ wire_structs! {
         pub max: u64,
     }
 
-    /// The `metrics` response payload: a full registry snapshot, each
+    /// The `metrics` response payload: every metric series, each
     /// section in sorted name order, plus the equivalent Prometheus text
     /// exposition for scraping.
     #[derive(Debug, Clone, PartialEq, Default)]
@@ -483,7 +483,7 @@ pub enum Response {
     Stats(StatsReport),
     /// Configuration report.
     Config(ConfigReport),
-    /// Metrics-registry snapshot.
+    /// Metric series snapshot.
     Metrics(MetricsReport),
     /// Shutdown acknowledged; the server closes the connection.
     Bye,

@@ -36,7 +36,7 @@ use crate::shard::{lock, ClusterShared, EventLog, Shard, ShardSnapshot};
 use crate::wire::{write_all_vectored, Json};
 use rafiki::{ClusterController, ControllerConfig, RafikiTuner, TuningMode};
 use rafiki_engine::HashRing;
-use rafiki_obs::Registry;
+use rafiki_obs::{self as obs, HistogramSummary};
 use rafiki_stats::StreamingHistogram;
 use rafiki_workload::Operation;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -182,8 +182,8 @@ impl Server {
         let shared = ClusterShared {
             controller: Mutex::new(controller),
             log: Mutex::new(EventLog::default()),
-            last_window: Mutex::new(WindowActivity::default()),
-            registry: Registry::new(),
+            last_window: Mutex::new((WindowActivity::default(), 0.0)),
+            decide_us: Mutex::new(StreamingHistogram::new()),
         };
         if shard_count > 1 {
             // Record the topology on the audit trail: how much of the
@@ -450,7 +450,7 @@ fn respond(
                 cluster_events: log.cluster.clone(),
             })
         }
-        Request::Metrics => Response::Metrics(metrics_of(shared)),
+        Request::Metrics => Response::Metrics(metrics_of(&snapshots(shards)?, shared)),
         Request::Shutdown => {
             stop.store(true, Ordering::SeqCst);
             Response::Bye
@@ -542,10 +542,6 @@ fn stats_of(snapshots: &[ShardSnapshot], shared: &ClusterShared<'_>) -> StatsRep
     let reads: u64 = snapshots.iter().map(|s| s.reads).sum();
     let distance_count: u64 = snapshots.iter().map(|s| s.distance_count).sum();
     let distance_sum: f64 = snapshots.iter().map(|s| s.distance_sum).sum();
-    let mut merged = StreamingHistogram::new();
-    for s in snapshots {
-        merged.merge(&s.histogram);
-    }
     StatsReport {
         operations,
         read_ratio: if operations == 0 {
@@ -557,8 +553,8 @@ fn stats_of(snapshots: &[ShardSnapshot], shared: &ClusterShared<'_>) -> StatsRep
         windows_closed: snapshots.iter().map(|s| s.windows_closed).sum(),
         reoptimizations: snapshots.iter().map(|s| s.reoptimizations).sum(),
         reconfigurations: snapshots.iter().map(|s| s.reconfigurations).sum(),
-        latency: latency_of(&merged),
-        last_window: *lock(&shared.last_window),
+        latency: latency_of(&merged_latency(snapshots)),
+        last_window: lock(&shared.last_window).0,
         shards: snapshots
             .iter()
             .map(|s| ShardStats {
@@ -576,10 +572,70 @@ fn stats_of(snapshots: &[ShardSnapshot], shared: &ClusterShared<'_>) -> StatsRep
     }
 }
 
-/// Snapshots the registry into the wire-level report. Includes both the
-/// aggregate series and every `{shard="N"}`-labeled series.
-fn metrics_of(shared: &ClusterShared<'_>) -> MetricsReport {
-    let snapshot = shared.registry.snapshot();
+/// Every shard's lifetime latencies, merged bucket-exactly.
+fn merged_latency(snapshots: &[ShardSnapshot]) -> StreamingHistogram {
+    let mut merged = StreamingHistogram::new();
+    for s in snapshots {
+        merged.merge(&s.histogram);
+    }
+    merged
+}
+
+/// Builds the `metrics` report from the same shard snapshots as
+/// [`stats_of`], so each event is counted once and the two frames agree
+/// at all times: every series is an unlabeled aggregate (summed, or
+/// merged for latency) plus one `{shard="N"}` series per shard, each
+/// section sorted by name. `serve_read_ratio` is the last window closed
+/// on any shard, like the aggregate `last_window`; `serve_decide_us` is
+/// the cluster's one decision-time histogram.
+fn metrics_of(snapshots: &[ShardSnapshot], shared: &ClusterShared<'_>) -> MetricsReport {
+    /// Pushes the aggregate `name` and then each shard's series.
+    fn series<T>(
+        out: &mut Vec<(String, T)>,
+        name: &str,
+        total: T,
+        snapshots: &[ShardSnapshot],
+        of: impl Fn(&ShardSnapshot) -> T,
+    ) {
+        out.push((name.to_string(), total));
+        for s in snapshots {
+            let shard = s.shard.to_string();
+            out.push((obs::labeled(name, &[("shard", &shard)]), of(s)));
+        }
+    }
+    let mut snapshot = obs::Snapshot::default();
+    let mut counter = |name: &str, count: fn(&ShardSnapshot) -> u64| {
+        let total = snapshots.iter().map(count).sum();
+        series(&mut snapshot.counters, name, total, snapshots, count);
+    };
+    counter("serve_controller_errors_total", |s| s.controller_errors);
+    counter("serve_ops_total", |s| s.operations);
+    counter("serve_reconfigurations_total", |s| s.reconfigurations);
+    counter("serve_reoptimizations_total", |s| s.reoptimizations);
+    counter("serve_windows_closed_total", |s| s.windows_closed);
+    let last_read_ratio = lock(&shared.last_window).1;
+    series(
+        &mut snapshot.gauges,
+        "serve_read_ratio",
+        last_read_ratio,
+        snapshots,
+        |s| s.last_read_ratio,
+    );
+    let decide = HistogramSummary::of(&lock(&shared.decide_us));
+    snapshot
+        .histograms
+        .push(("serve_decide_us".to_string(), decide));
+    series(
+        &mut snapshot.histograms,
+        "serve_op_latency_us",
+        HistogramSummary::of(&merged_latency(snapshots)),
+        snapshots,
+        |s| HistogramSummary::of(&s.histogram),
+    );
+    // Name order, as series names sort (`x{shard="10"}` before `x{shard="2"}`).
+    snapshot.counters.sort_by(|a, b| a.0.cmp(&b.0));
+    snapshot.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+    snapshot.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     let prometheus = snapshot.prometheus_text();
     MetricsReport {
         counters: snapshot.counters,

@@ -1,9 +1,9 @@
 //! Per-shard state: each shard owns one [`Engine`], one
-//! [`OnlineCharacterizer`], and its latency histograms. The server holds
-//! the shards as `Vec<Mutex<Shard>>`, and the connection thread that
-//! read a frame runs that frame's slice for each shard itself, under the
-//! shard's mutex — an op never changes threads between its socket read
-//! and its reply.
+//! [`OnlineCharacterizer`], its latency histograms and its event counts.
+//! The server holds the shards as `Vec<Mutex<Shard>>`, and the
+//! connection thread that read a frame runs that frame's slice for each
+//! shard itself, under the shard's mutex — an op never changes threads
+//! between its socket read and its reply.
 //!
 //! # Per-shard quiescence
 //!
@@ -24,7 +24,8 @@
 //! applies each under its target's lock after releasing the deciding
 //! shard's lock and before answering the frame. The cluster mutexes in
 //! [`ClusterShared`] are taken under a shard lock or under none, never
-//! the reverse: the order is shard → controller / log / last_window.
+//! the reverse: the order is shard → controller / log / last_window /
+//! decide_us.
 
 use crate::protocol::{
     BatchResult, ClusterEvent, ConfigSummary, ParamChange, ReconfigEvent, WindowActivity,
@@ -35,10 +36,10 @@ use rafiki_engine::{
     Engine, EngineConfig, EngineMetrics, HashRing, OpCompletion, ServerSpec, SimTime,
 };
 use rafiki_obs as obs;
-use rafiki_obs::{Counter, Gauge, HistogramHandle, Registry, Value};
+use rafiki_obs::Value;
 use rafiki_stats::StreamingHistogram;
 use rafiki_workload::{OnlineCharacterizer, Operation, WindowSummary};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A reconfiguration decided on one shard's window close for the shard
@@ -52,7 +53,7 @@ pub(crate) struct Apply {
 }
 
 /// A point-in-time copy of one shard's observable state, taken under the
-/// shard's lock for the `stats`/`config` frames. Carries
+/// shard's lock for the `stats`/`config`/`metrics` frames. Carries
 /// the *sufficient statistics* (`reads`, `distance_sum`,
 /// `distance_count`) so aggregates merge exactly, not approximately.
 #[derive(Debug, Clone)]
@@ -67,8 +68,11 @@ pub(crate) struct ShardSnapshot {
     pub windows_closed: u64,
     pub reoptimizations: u64,
     pub reconfigurations: u64,
+    pub controller_errors: u64,
     pub histogram: StreamingHistogram,
     pub last_window: WindowActivity,
+    /// The read ratio of the last window this shard closed (0 before any).
+    pub last_read_ratio: f64,
     pub active: ConfigSummary,
 }
 
@@ -90,10 +94,14 @@ pub(crate) struct EventLog {
 pub(crate) struct ClusterShared<'t> {
     pub controller: Mutex<ClusterController<'t>>,
     pub log: Mutex<EventLog>,
-    /// The most recently closed window's activity, across all shards
-    /// (the aggregate `last_window` in `stats` frames).
-    pub last_window: Mutex<WindowActivity>,
-    pub registry: Registry,
+    /// The most recently closed window's activity and read ratio, across
+    /// all shards (the aggregate `last_window` in `stats` frames and
+    /// `serve_read_ratio` in `metrics` frames).
+    pub last_window: Mutex<(WindowActivity, f64)>,
+    /// Wall time of each window close's decision: waiting for the
+    /// controller lock plus deciding under it (`serve_decide_us`). One
+    /// histogram for the cluster, like the lock it times.
+    pub decide_us: Mutex<StreamingHistogram>,
 }
 
 /// Locks a cluster mutex, recovering from poisoning (a panic on one
@@ -101,59 +109,6 @@ pub(crate) struct ClusterShared<'t> {
 /// never locked through this: see the module docs.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Cached handles for the metric series one shard updates on its hot
-/// path: the unlabeled aggregate series plus this shard's
-/// `{shard="N"}`-labeled series. Both are updated under the shard's lock
-/// in the same code path, so per-shard series sum *exactly* to the
-/// aggregate whenever the cluster is quiescent.
-struct ShardMetrics {
-    ops_total: Arc<Counter>,
-    ops_total_shard: Arc<Counter>,
-    windows_closed_total: Arc<Counter>,
-    windows_closed_total_shard: Arc<Counter>,
-    reoptimizations_total: Arc<Counter>,
-    reoptimizations_total_shard: Arc<Counter>,
-    reconfigurations_total: Arc<Counter>,
-    reconfigurations_total_shard: Arc<Counter>,
-    read_ratio: Arc<Gauge>,
-    read_ratio_shard: Arc<Gauge>,
-    controller_errors_total: Arc<Counter>,
-    controller_errors_total_shard: Arc<Counter>,
-    /// Completed-window latencies (the filling window merges in at close).
-    latency_us: Arc<HistogramHandle>,
-    latency_us_shard: Arc<HistogramHandle>,
-    /// Wall time of each window close's decision: waiting for the
-    /// cluster-wide controller lock plus deciding under it. One series
-    /// for the cluster, like the lock it times.
-    decide_us: Arc<HistogramHandle>,
-}
-
-impl ShardMetrics {
-    fn new(registry: &Registry, shard: usize) -> ShardMetrics {
-        let shard = shard.to_string();
-        let labeled = |name: &str| obs::labeled(name, &[("shard", &shard)]);
-        ShardMetrics {
-            ops_total: registry.counter("serve_ops_total"),
-            ops_total_shard: registry.counter(&labeled("serve_ops_total")),
-            windows_closed_total: registry.counter("serve_windows_closed_total"),
-            windows_closed_total_shard: registry.counter(&labeled("serve_windows_closed_total")),
-            reoptimizations_total: registry.counter("serve_reoptimizations_total"),
-            reoptimizations_total_shard: registry.counter(&labeled("serve_reoptimizations_total")),
-            reconfigurations_total: registry.counter("serve_reconfigurations_total"),
-            reconfigurations_total_shard: registry
-                .counter(&labeled("serve_reconfigurations_total")),
-            read_ratio: registry.gauge("serve_read_ratio"),
-            read_ratio_shard: registry.gauge(&labeled("serve_read_ratio")),
-            controller_errors_total: registry.counter("serve_controller_errors_total"),
-            controller_errors_total_shard: registry
-                .counter(&labeled("serve_controller_errors_total")),
-            latency_us: registry.histogram("serve_op_latency_us"),
-            latency_us_shard: registry.histogram(&labeled("serve_op_latency_us")),
-            decide_us: registry.histogram("serve_decide_us"),
-        }
-    }
 }
 
 /// One shard: an engine preloaded with exactly the keys the hash ring
@@ -172,13 +127,15 @@ pub(crate) struct Shard<'t, 'c> {
     windows_closed: u64,
     reoptimizations: u64,
     reconfigurations: u64,
+    controller_errors: u64,
+    /// The read ratio of the last window this shard closed.
+    last_read_ratio: f64,
     next_token: u64,
     completions: Vec<OpCompletion>,
     /// Lockstep applies this shard's window closes decided for peers,
     /// not yet handed to the connection thread.
     outbox: Vec<Apply>,
     shared: &'c ClusterShared<'t>,
-    metrics: ShardMetrics,
 }
 
 impl<'t, 'c> Shard<'t, 'c> {
@@ -211,10 +168,11 @@ impl<'t, 'c> Shard<'t, 'c> {
             windows_closed: 0,
             reoptimizations: 0,
             reconfigurations: 0,
+            controller_errors: 0,
+            last_read_ratio: 0.0,
             next_token: 0,
             completions: Vec::new(),
             outbox: Vec::new(),
-            metrics: ShardMetrics::new(&shared.registry, shard),
             shared,
         }
     }
@@ -258,8 +216,6 @@ impl<'t, 'c> Shard<'t, 'c> {
                 }
             }
         };
-        self.metrics.ops_total.inc();
-        self.metrics.ops_total_shard.inc();
         self.histogram.record(latency_us);
         self.window_histogram.record(latency_us);
         if let Some(summary) = self.characterizer.observe(&op) {
@@ -270,10 +226,7 @@ impl<'t, 'c> Shard<'t, 'c> {
 
     fn close_window(&mut self, window: WindowSummary) {
         self.windows_closed += 1;
-        self.metrics.windows_closed_total.inc();
-        self.metrics.windows_closed_total_shard.inc();
-        self.metrics.read_ratio.set(window.read_ratio);
-        self.metrics.read_ratio_shard.set(window.read_ratio);
+        self.last_read_ratio = window.read_ratio;
         let snapshot = *self.engine.metrics();
         let delta = snapshot.delta(&self.window_start_metrics);
         self.window_start_metrics = snapshot;
@@ -285,13 +238,7 @@ impl<'t, 'c> Shard<'t, 'c> {
             p50_us: self.window_histogram.quantile(0.5).unwrap_or(0),
             p99_us: self.window_histogram.quantile(0.99).unwrap_or(0),
         };
-        *lock(&self.shared.last_window) = self.last_window;
-        // Completed-window latencies flow into the registry histograms;
-        // the per-window one restarts empty for the next window.
-        self.metrics.latency_us.merge_from(&self.window_histogram);
-        self.metrics
-            .latency_us_shard
-            .merge_from(&self.window_histogram);
+        *lock(&self.shared.last_window) = (self.last_window, window.read_ratio);
         self.window_histogram = StreamingHistogram::new();
         // Observed throughput over the window on the simulated clock.
         let now = self.engine.clock();
@@ -331,17 +278,14 @@ impl<'t, 'c> Shard<'t, 'c> {
                 controller.mode(),
             )
         };
-        self.metrics
-            .decide_us
-            .record(asked.elapsed().as_micros() as u64);
+        lock(&self.shared.decide_us).record(asked.elapsed().as_micros() as u64);
         let decision = match outcome {
             Ok(decision) => decision,
             // The tuner was checked at construction, so this should not
             // happen; if it does, the window stays closed and counted
             // and the shard keeps serving on its current configuration.
             Err(e) => {
-                self.metrics.controller_errors_total.inc();
-                self.metrics.controller_errors_total_shard.inc();
+                self.controller_errors += 1;
                 obs::event(
                     "serve",
                     "controller_error",
@@ -357,8 +301,6 @@ impl<'t, 'c> Shard<'t, 'c> {
         };
         if decision.decision.reoptimized {
             self.reoptimizations += 1;
-            self.metrics.reoptimizations_total.inc();
-            self.metrics.reoptimizations_total_shard.inc();
         }
         if mode == TuningMode::Lockstep && decision.apply.len() > 1 {
             let mut log = lock(&self.shared.log);
@@ -410,8 +352,6 @@ impl<'t, 'c> Shard<'t, 'c> {
         }
         let outcome = self.engine.reconfigure(cfg);
         self.reconfigurations += 1;
-        self.metrics.reconfigurations_total.inc();
-        self.metrics.reconfigurations_total_shard.inc();
         lock(&self.shared.log).events.push(ReconfigEvent {
             shard: self.shard as u64,
             window,
@@ -443,8 +383,10 @@ impl<'t, 'c> Shard<'t, 'c> {
             windows_closed: self.windows_closed,
             reoptimizations: self.reoptimizations,
             reconfigurations: self.reconfigurations,
+            controller_errors: self.controller_errors,
             histogram: self.histogram.clone(),
             last_window: self.last_window,
+            last_read_ratio: self.last_read_ratio,
             active: ConfigSummary::from(self.engine.config()),
         }
     }

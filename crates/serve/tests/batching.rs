@@ -4,48 +4,20 @@
 //! batching when a connection closes, and no frame may grow past
 //! `MAX_FRAME_BYTES`.
 
-use rafiki::{CollectionPlan, ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
+mod common;
+
+use common::{serving, tiny_tuner};
+use rafiki::ControllerConfig;
 use rafiki_serve::{Client, ServeConfig, Server, StatsReport, MAX_FRAME_BYTES};
 use rafiki_workload::{
-    BenchmarkSpec, Key, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
+    Key, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const WINDOW_OPS: usize = 300;
-
-/// A deliberately tiny fitted tuner: these tests exercise the wire
-/// path, not the tuning quality, so the fit just needs to succeed fast.
-fn tiny_tuner() -> RafikiTuner {
-    let preload_keys = 5_000;
-    let ctx = EvalContext {
-        bench: BenchmarkSpec {
-            duration_secs: 0.5,
-            warmup_secs: 0.1,
-            clients: 8,
-            sample_window_secs: 0.25,
-        },
-        workload: WorkloadSpec {
-            initial_keys: preload_keys,
-            ..WorkloadSpec::with_read_ratio(0.5)
-        },
-        preload_keys,
-        preload_payload: 200,
-        ..EvalContext::small()
-    };
-    let cfg = TunerConfig {
-        collection: CollectionPlan {
-            configurations: 3,
-            read_ratios: vec![0.0, 0.5, 1.0],
-            ..CollectionPlan::default()
-        },
-        ..TunerConfig::fast()
-    };
-    let mut tuner = RafikiTuner::new(ctx, cfg);
-    tuner.fit().expect("tiny tuner fit");
-    tuner
-}
+const PRELOAD_KEYS: u64 = 5_000;
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -55,30 +27,30 @@ fn serve_config() -> ServeConfig {
             min_predicted_gain: 0.0,
             ..ControllerConfig::default()
         },
-        preload_keys: 5_000,
+        preload_keys: PRELOAD_KEYS,
         preload_payload: 200,
         ..ServeConfig::default()
     }
 }
 
+fn server() -> Server {
+    Server::bind("127.0.0.1:0", tiny_tuner(PRELOAD_KEYS), serve_config()).expect("bind")
+}
+
 /// Runs `ops` against a fresh daemon with the given frame size and
 /// returns the final aggregate stats plus the client-side histogram
 /// count.
-fn run_stream(tuner: RafikiTuner, ops: &[Operation], batch: usize) -> (StatsReport, u64) {
-    let server = Server::bind("127.0.0.1:0", tuner, serve_config()).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+fn run_stream(ops: &[Operation], batch: usize) -> (StatsReport, u64) {
+    let server = server();
+    serving(&server, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         let mut source = ReplaySource::new(ops.to_vec());
         let histogram = client
             .drive_batched(&mut source, ops.len(), batch)
             .expect("drive");
-        let stats = client.stats().expect("stats");
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
-        (stats, histogram.total())
+        (client.stats().expect("stats"), histogram.total())
     })
+    .0
 }
 
 /// The tentpole invariant: batching is a transport optimization only.
@@ -88,7 +60,7 @@ fn run_stream(tuner: RafikiTuner, ops: &[Operation], batch: usize) -> (StatsRepo
 #[test]
 fn batched_and_unbatched_runs_produce_identical_engine_metrics() {
     let spec = |rr: f64| WorkloadSpec {
-        initial_keys: 5_000,
+        initial_keys: PRELOAD_KEYS,
         ..WorkloadSpec::with_read_ratio(rr)
     };
     let mut ops: Vec<Operation> = Vec::new();
@@ -97,8 +69,8 @@ fn batched_and_unbatched_runs_produce_identical_engine_metrics() {
     let mut write_heavy = WorkloadGenerator::new(spec(0.1), 23);
     ops.extend((0..2 * WINDOW_OPS).map(|_| write_heavy.next_op()));
 
-    let (unbatched, unbatched_count) = run_stream(tiny_tuner(), &ops, 1);
-    let (batched, batched_count) = run_stream(tiny_tuner(), &ops, 256);
+    let (unbatched, unbatched_count) = run_stream(&ops, 1);
+    let (batched, batched_count) = run_stream(&ops, 256);
 
     assert_eq!(unbatched_count, ops.len() as u64);
     assert_eq!(batched_count, ops.len() as u64);
@@ -120,16 +92,13 @@ fn batched_and_unbatched_runs_produce_identical_engine_metrics() {
 #[test]
 fn residual_latency_samples_survive_disconnect() {
     const RESIDUAL_OPS: usize = 5;
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config()).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
-
+    let server = server();
+    serving(&server, |addr| {
         {
             let mut client = Client::connect(addr).expect("connect");
             let mut gen = WorkloadGenerator::new(
                 WorkloadSpec {
-                    initial_keys: 5_000,
+                    initial_keys: PRELOAD_KEYS,
                     ..WorkloadSpec::with_read_ratio(0.5)
                 },
                 31,
@@ -156,9 +125,6 @@ fn residual_latency_samples_survive_disconnect() {
             count, RESIDUAL_OPS as u64,
             "latency samples below the merge-batch size were lost at disconnect"
         );
-
-        observer.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
     });
 }
 
@@ -167,14 +133,12 @@ fn residual_latency_samples_survive_disconnect() {
 #[test]
 fn stats_request_flushes_the_callers_merge_batch() {
     const OPS: usize = 3;
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config()).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    let server = server();
+    serving(&server, |addr| {
         let mut client = Client::connect(addr).expect("connect");
         let mut gen = WorkloadGenerator::new(
             WorkloadSpec {
-                initial_keys: 5_000,
+                initial_keys: PRELOAD_KEYS,
                 ..WorkloadSpec::with_read_ratio(0.5)
             },
             37,
@@ -184,8 +148,6 @@ fn stats_request_flushes_the_callers_merge_batch() {
         }
         let stats = client.stats().expect("stats");
         assert_eq!(stats.latency.count, OPS as u64);
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
     });
 }
 
@@ -195,10 +157,8 @@ fn stats_request_flushes_the_callers_merge_batch() {
 /// still served, and other connections keep getting `batch` answers.
 #[test]
 fn oversized_frame_gets_an_error_and_the_connection_closes() {
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config()).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    let server = server();
+    serving(&server, |addr| {
         let raw = TcpStream::connect(addr).expect("raw connect");
         let mut reader = BufReader::new(raw.try_clone().expect("clone"));
         let mut writer = raw;
@@ -234,7 +194,5 @@ fn oversized_frame_gets_an_error_and_the_connection_closes() {
         let ops: Vec<Operation> = (0..64).map(|k| Operation::read(Key(k))).collect();
         let latencies = client.batch(&ops).expect("batch after an oversized frame");
         assert_eq!(latencies.len(), ops.len());
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
     });
 }

@@ -4,6 +4,9 @@
 //! installed, so the run also validates the JSONL trace file and the
 //! `metrics` introspection frame against the `stats` ground truth.
 
+mod common;
+
+use common::{assert_metrics_match_stats, serving};
 use rafiki::{ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
 use rafiki_engine::EngineConfig;
 use rafiki_obs::{EventKind, JsonlSink, Level, MemorySink, TeeSink};
@@ -107,7 +110,6 @@ fn scenario() {
         ..ServeConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", tuner, serve_cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
 
     // The operation stream: a hard read-heavy -> write-heavy shift, built
     // up front so the daemon's streaming characterization can be checked
@@ -123,8 +125,7 @@ fn scenario() {
     ops.extend((0..PHASE_WINDOWS * WINDOW_OPS).map(|_| write_heavy.next_op()));
     let total_ops = ops.len() as u64;
 
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    let (stats, report) = serving(&server, |addr| {
         let mut client = Client::connect(addr).expect("connect");
 
         let initial = client.config().expect("initial config");
@@ -179,36 +180,10 @@ fn scenario() {
         assert!(w.p50_us > 0 && w.p50_us <= w.p99_us);
         assert!(w.p99_us <= stats.latency.max_us);
 
-        // The `metrics` frame agrees with `stats` exactly: both are
-        // maintained under the same lock, so the counts cannot drift.
+        // The `metrics` frame agrees with `stats` exactly: both are built
+        // from the same shard snapshots.
         let metrics = client.metrics().expect("metrics");
-        let counter = |name: &str| {
-            metrics
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-                .1
-        };
-        assert_eq!(counter("serve_ops_total"), stats.operations);
-        assert_eq!(counter("serve_windows_closed_total"), stats.windows_closed);
-        assert_eq!(
-            counter("serve_reoptimizations_total"),
-            stats.reoptimizations
-        );
-        assert_eq!(
-            counter("serve_reconfigurations_total"),
-            stats.reconfigurations
-        );
-        // All ops fell into closed windows here, so the registry's
-        // latency histogram (fed at window close) has seen every one.
-        let (_, lat) = metrics
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "serve_op_latency_us")
-            .expect("latency histogram");
-        assert_eq!(lat.count, total_ops);
-        assert!(lat.min <= lat.p50 && lat.p50 <= lat.p99 && lat.p99 <= lat.max);
+        assert_metrics_match_stats(&metrics, &stats);
         // The Prometheus exposition carries the same numbers.
         assert!(metrics
             .prometheus
@@ -293,47 +268,45 @@ fn scenario() {
         drop(raw_writer);
 
         client.shutdown().expect("shutdown");
-        let report = handle.join().expect("server thread");
-        assert_eq!(
-            report.operations,
-            total_ops + 4,
-            "plus the raw-socket read, oversized insert and batch"
-        );
-        assert_eq!(report.windows_closed, (2 * PHASE_WINDOWS) as u64);
-        assert_eq!(report.reconfigurations, stats.reconfigurations);
-        assert!(report.reoptimizations >= stats.reoptimizations);
-
-        // --- Trace assertions (the server is quiesced; everything the
-        // pipeline emitted has reached the sinks). ---
-        let events = memory.events();
-        let decisions: Vec<_> = events
-            .iter()
-            .filter(|e| e.target == "controller" && e.name == "decision")
-            .collect();
-        assert_eq!(
-            decisions.len() as u64,
-            report.windows_closed,
-            "one controller decision trace per closed window"
-        );
-        let closes = events
-            .iter()
-            .filter(|e| e.target == "serve" && e.name == "window_close")
-            .count() as u64;
-        assert_eq!(closes, report.windows_closed);
-        let reconfigures = events
-            .iter()
-            .filter(|e| {
-                e.target == "engine" && e.name == "reconfigure" && e.kind == EventKind::Span
-            })
-            .count() as u64;
-        assert!(
-            reconfigures >= report.reconfigurations && report.reconfigurations >= 1,
-            "expected >= {} reconfigure spans, saw {reconfigures}",
-            report.reconfigurations
-        );
-
-        // The on-disk JSONL trace survives the same scrutiny.
-        rafiki_obs::clear_subscriber();
-        trace_check(&trace_file, report.windows_closed);
+        stats
     });
+    assert_eq!(
+        report.operations,
+        total_ops + 4,
+        "plus the raw-socket read, oversized insert and batch"
+    );
+    assert_eq!(report.windows_closed, (2 * PHASE_WINDOWS) as u64);
+    assert_eq!(report.reconfigurations, stats.reconfigurations);
+    assert!(report.reoptimizations >= stats.reoptimizations);
+
+    // --- Trace assertions (the server is quiesced; everything the
+    // pipeline emitted has reached the sinks). ---
+    let events = memory.events();
+    let decisions: Vec<_> = events
+        .iter()
+        .filter(|e| e.target == "controller" && e.name == "decision")
+        .collect();
+    assert_eq!(
+        decisions.len() as u64,
+        report.windows_closed,
+        "one controller decision trace per closed window"
+    );
+    let closes = events
+        .iter()
+        .filter(|e| e.target == "serve" && e.name == "window_close")
+        .count() as u64;
+    assert_eq!(closes, report.windows_closed);
+    let reconfigures = events
+        .iter()
+        .filter(|e| e.target == "engine" && e.name == "reconfigure" && e.kind == EventKind::Span)
+        .count() as u64;
+    assert!(
+        reconfigures >= report.reconfigurations && report.reconfigurations >= 1,
+        "expected >= {} reconfigure spans, saw {reconfigures}",
+        report.reconfigurations
+    );
+
+    // The on-disk JSONL trace survives the same scrutiny.
+    rafiki_obs::clear_subscriber();
+    trace_check(&trace_file, report.windows_closed);
 }

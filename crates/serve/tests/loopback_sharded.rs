@@ -4,11 +4,12 @@
 //! plus a lockstep-mode run where one decision stream reconfigures both
 //! shards to the same configuration.
 
-use rafiki::{CollectionPlan, ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
+mod common;
+
+use common::{assert_metrics_match_stats, serving, tiny_tuner};
+use rafiki::ControllerConfig;
 use rafiki_serve::{Client, ServeConfig, Server};
-use rafiki_workload::{
-    BenchmarkSpec, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
-};
+use rafiki_workload::{Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -18,35 +19,6 @@ const SHARDS: usize = 2;
 /// Ops per phase — enough that *each* shard closes multiple windows per
 /// phase even at an uneven (but ring-balanced, so >25/75) key split.
 const PHASE_OPS: usize = 8 * WINDOW_OPS;
-
-fn tiny_tuner() -> RafikiTuner {
-    let ctx = EvalContext {
-        bench: BenchmarkSpec {
-            duration_secs: 0.5,
-            warmup_secs: 0.1,
-            clients: 8,
-            sample_window_secs: 0.25,
-        },
-        workload: WorkloadSpec {
-            initial_keys: PRELOAD_KEYS,
-            ..WorkloadSpec::with_read_ratio(0.5)
-        },
-        preload_keys: PRELOAD_KEYS,
-        preload_payload: 200,
-        ..EvalContext::small()
-    };
-    let cfg = TunerConfig {
-        collection: CollectionPlan {
-            configurations: 3,
-            read_ratios: vec![0.0, 0.5, 1.0],
-            ..CollectionPlan::default()
-        },
-        ..TunerConfig::fast()
-    };
-    let mut tuner = RafikiTuner::new(ctx, cfg);
-    tuner.fit().expect("tiny tuner fit");
-    tuner
-}
 
 fn serve_config(lockstep: bool) -> ServeConfig {
     ServeConfig {
@@ -63,6 +35,15 @@ fn serve_config(lockstep: bool) -> ServeConfig {
         shards: SHARDS,
         lockstep,
     }
+}
+
+fn server(lockstep: bool) -> Server {
+    Server::bind(
+        "127.0.0.1:0",
+        tiny_tuner(PRELOAD_KEYS),
+        serve_config(lockstep),
+    )
+    .expect("bind")
 }
 
 /// A hard read-heavy → write-heavy regime shift. Keys are drawn from
@@ -99,10 +80,7 @@ fn sharded_loopback_regime_shift_retunes_every_shard() {
 fn independent_scenario() {
     let ops = regime_shift_stream();
     let total_ops = ops.len() as u64;
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(false)).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    let (stats, run) = serving(&server(false), |addr| {
         let mut client = Client::connect(addr).expect("connect");
         let mut source = ReplaySource::new(ops.clone());
         let histogram = client
@@ -151,35 +129,8 @@ fn independent_scenario() {
         );
         assert_eq!(stats.latency.count, total_ops);
 
-        // The labeled metrics series carry the same per-shard truth and
-        // sum exactly to the aggregate series.
-        let metrics = client.metrics().expect("metrics");
-        let counter = |name: &str| {
-            metrics
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-                .1
-        };
-        for (name, aggregate) in [
-            ("serve_ops_total", stats.operations),
-            ("serve_windows_closed_total", stats.windows_closed),
-            ("serve_reconfigurations_total", stats.reconfigurations),
-        ] {
-            assert_eq!(counter(name), aggregate);
-            let summed: u64 = (0..SHARDS)
-                .map(|s| counter(&format!("{name}{{shard=\"{s}\"}}")))
-                .sum();
-            assert_eq!(summed, aggregate, "{name} labeled series do not sum");
-        }
-        for (shard, row) in stats.shards.iter().enumerate() {
-            assert_eq!(
-                counter(&format!("serve_ops_total{{shard=\"{shard}\"}}")),
-                row.operations
-            );
-        }
-        assert!(metrics.prometheus.contains("serve_ops_total{shard=\"1\"}"));
+        // The `metrics` frame carries the same aggregate and per-shard truth.
+        assert_metrics_match_stats(&client.metrics().expect("metrics"), &stats);
 
         // The audit trail: per-shard reconfig events plus the scale-out
         // cluster event recorded at bootstrap.
@@ -216,13 +167,11 @@ fn independent_scenario() {
                 .expect("every shard reconfigured at least once");
             assert_eq!(row.active, last.to);
         }
-
-        client.shutdown().expect("shutdown");
-        let run = handle.join().expect("server thread");
-        assert_eq!(run.operations, total_ops);
-        assert_eq!(run.windows_closed, stats.windows_closed);
-        assert_eq!(run.reconfigurations, stats.reconfigurations);
+        stats
     });
+    assert_eq!(run.operations, total_ops);
+    assert_eq!(run.windows_closed, stats.windows_closed);
+    assert_eq!(run.reconfigurations, stats.reconfigurations);
 }
 
 /// Lockstep mode: one decision stream drives both shards, every switch
@@ -243,10 +192,7 @@ fn lockstep_cluster_reconfigures_all_shards_together() {
 
 fn lockstep_scenario() {
     let ops = regime_shift_stream();
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(true)).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    serving(&server(true), |addr| {
         let mut client = Client::connect(addr).expect("connect");
         // Apply before answer: a lockstep switch decided while a frame
         // runs has reached every shard by the time that frame's reply
@@ -285,8 +231,5 @@ fn lockstep_scenario() {
             .find(|e| e.kind == "lockstep_reconfigure")
             .expect("lockstep_reconfigure cluster event");
         assert_eq!(lockstep.shards, SHARDS as u64);
-
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
     });
 }

@@ -5,53 +5,22 @@
 //! optimization only, and connections contending for the same shards
 //! lose no op and get no reply out of order.
 
-use rafiki::{CollectionPlan, ControllerConfig, EvalContext, RafikiTuner, TunerConfig};
+mod common;
+
+use common::{assert_metrics_match_stats, serving, tiny_tuner};
+use rafiki::ControllerConfig;
 use rafiki_serve::protocol::encode_batch_into;
 use rafiki_serve::{
     BatchResult, Client, ConfigReport, Json, MetricsReport, Response, ServeConfig, Server,
     StatsReport,
 };
-use rafiki_workload::{
-    BenchmarkSpec, Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec,
-};
+use rafiki_workload::{Operation, OperationSource, ReplaySource, WorkloadGenerator, WorkloadSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Barrier;
 
 const WINDOW_OPS: usize = 300;
 const PRELOAD_KEYS: u64 = 5_000;
-
-/// A deliberately tiny fitted tuner: these tests exercise routing and
-/// aggregation, not tuning quality, so the fit just needs to succeed
-/// fast.
-fn tiny_tuner() -> RafikiTuner {
-    let ctx = EvalContext {
-        bench: BenchmarkSpec {
-            duration_secs: 0.5,
-            warmup_secs: 0.1,
-            clients: 8,
-            sample_window_secs: 0.25,
-        },
-        workload: WorkloadSpec {
-            initial_keys: PRELOAD_KEYS,
-            ..WorkloadSpec::with_read_ratio(0.5)
-        },
-        preload_keys: PRELOAD_KEYS,
-        preload_payload: 200,
-        ..EvalContext::small()
-    };
-    let cfg = TunerConfig {
-        collection: CollectionPlan {
-            configurations: 3,
-            read_ratios: vec![0.0, 0.5, 1.0],
-            ..CollectionPlan::default()
-        },
-        ..TunerConfig::fast()
-    };
-    let mut tuner = RafikiTuner::new(ctx, cfg);
-    tuner.fit().expect("tiny tuner fit");
-    tuner
-}
 
 fn serve_config(shards: usize) -> ServeConfig {
     ServeConfig {
@@ -66,6 +35,15 @@ fn serve_config(shards: usize) -> ServeConfig {
         shards,
         ..ServeConfig::default()
     }
+}
+
+fn server(shards: usize) -> Server {
+    Server::bind(
+        "127.0.0.1:0",
+        tiny_tuner(PRELOAD_KEYS),
+        serve_config(shards),
+    )
+    .expect("bind")
 }
 
 fn op_stream(ops: usize, seed: u64) -> Vec<Operation> {
@@ -85,10 +63,7 @@ fn run_cluster(
     batch: usize,
     inflight: usize,
 ) -> (StatsReport, ConfigReport, MetricsReport, u64) {
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(shards)).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    serving(&server(shards), |addr| {
         let mut client = Client::connect(addr).expect("connect");
         let mut source = ReplaySource::new(ops.to_vec());
         let histogram = client
@@ -97,10 +72,9 @@ fn run_cluster(
         let stats = client.stats().expect("stats");
         let config = client.config().expect("config");
         let metrics = client.metrics().expect("metrics");
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
         (stats, config, metrics, histogram.total())
     })
+    .0
 }
 
 /// Blanks the aggregate `last_window`: it reports whichever shard
@@ -110,15 +84,6 @@ fn run_cluster(
 fn scrubbed(mut stats: StatsReport) -> StatsReport {
     stats.last_window = rafiki_serve::WindowActivity::default();
     stats
-}
-
-fn counter(metrics: &MetricsReport, name: &str) -> u64 {
-    metrics
-        .counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .unwrap_or_else(|| panic!("missing counter {name}"))
-        .1
 }
 
 /// Routing is a pure function of the key and the (fixed) ring seed: two
@@ -170,12 +135,11 @@ fn single_shard_aggregate_equals_its_only_shard_row() {
 }
 
 /// Per-shard rows sum exactly to the aggregate — counts as integers,
-/// the read ratio through its sufficient statistics — and the labeled
-/// metrics series sum to the unlabeled aggregate series.
+/// the read ratio through its sufficient statistics.
 #[test]
 fn per_shard_stats_sum_exactly_to_the_aggregate() {
     let ops = op_stream(4 * WINDOW_OPS, 47);
-    let (stats, config, metrics, _) = run_cluster(3, &ops, 64, 1);
+    let (stats, config, _, _) = run_cluster(3, &ops, 64, 1);
     assert_eq!(stats.operations, ops.len() as u64);
     assert_eq!(
         stats.shards.iter().map(|s| s.operations).sum::<u64>(),
@@ -218,18 +182,24 @@ fn per_shard_stats_sum_exactly_to_the_aggregate() {
             .count() as u64;
         assert_eq!(events, shard.reconfigurations);
     }
-    // Labeled registry series sum exactly to the aggregate series.
-    for name in [
-        "serve_ops_total",
-        "serve_windows_closed_total",
-        "serve_reconfigurations_total",
-    ] {
-        let labeled: u64 = (0..stats.shards.len())
-            .map(|s| counter(&metrics, &format!("{name}{{shard=\"{s}\"}}")))
-            .sum();
-        assert_eq!(labeled, counter(&metrics, name), "{name} does not sum");
-    }
-    assert!(metrics.prometheus.contains("serve_ops_total{shard=\"0\"}"));
+}
+
+/// The `metrics` frame is built from the same shard snapshots as
+/// `stats`, so the two agree even while windows are still filling: the
+/// latency summaries count the open window's ops too.
+#[test]
+fn metrics_frame_equals_stats_mid_window() {
+    let ops = op_stream(4 * WINDOW_OPS + WINDOW_OPS / 2, 59);
+    let (stats, _, metrics, _) = run_cluster(2, &ops, 64, 1);
+    assert!(
+        stats
+            .shards
+            .iter()
+            .all(|s| s.operations % WINDOW_OPS as u64 != 0),
+        "the stream must end partway through a window on every shard"
+    );
+    assert!(stats.windows_closed > 0);
+    assert_metrics_match_stats(&metrics, &stats);
 }
 
 /// Pipelining is a transport optimization only: the same stream driven
@@ -259,10 +229,7 @@ fn pipelined_and_unpipelined_runs_are_indistinguishable() {
 /// answers them with a single vectored write).
 #[test]
 fn frame_bursts_are_answered_in_order() {
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(2)).expect("bind");
-    let addr = server.local_addr().expect("local addr");
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
+    serving(&server(2), |addr| {
         let raw = TcpStream::connect(addr).expect("raw connect");
         let mut reader = BufReader::new(raw.try_clone().expect("clone"));
         let mut writer = raw;
@@ -286,10 +253,6 @@ fn frame_bursts_are_answered_in_order() {
         reader.read_line(&mut line).expect("stats response");
         assert!(line.contains("\"stats\""), "got: {line}");
         assert!(line.contains("\"operations\":5"), "got: {line}");
-        drop(writer);
-        let mut client = Client::connect(addr).expect("connect");
-        client.shutdown().expect("shutdown");
-        handle.join().expect("server thread");
     });
 }
 
@@ -298,105 +261,93 @@ fn frame_bursts_are_answered_in_order() {
 /// slices contend for the same shard locks. Every frame is answered in
 /// full, without error and in frame order (frame sizes are distinct, so
 /// a reordered reply shows as a length mismatch), and every op is
-/// counted exactly once, in `stats`, in the registry and per shard.
+/// counted exactly once, in `stats`, in `metrics` and per shard.
 #[test]
 fn concurrent_connections_contending_on_shards_lose_nothing() {
     const CONNECTIONS: usize = 3;
     const FRAMES: usize = 20;
     let frame_len = |frame: usize| 64 - frame;
-    let server = Server::bind("127.0.0.1:0", tiny_tuner(), serve_config(2)).expect("bind");
-    let addr = server.local_addr().expect("local addr");
     let barrier = Barrier::new(CONNECTIONS);
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(|| server.run().expect("server run"));
-        let connections: Vec<_> = (0..CONNECTIONS)
-            .map(|connection| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let sent: usize = (0..FRAMES).map(frame_len).sum();
-                    let mut ops = op_stream(sent, 60 + connection as u64).into_iter();
-                    let mut burst = String::new();
-                    for frame in 0..FRAMES {
-                        let chunk: Vec<Operation> = ops.by_ref().take(frame_len(frame)).collect();
-                        encode_batch_into(&chunk, &mut burst);
-                        burst.push('\n');
-                    }
-                    let raw = TcpStream::connect(addr).expect("raw connect");
-                    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
-                    let mut writer = raw;
-                    barrier.wait();
-                    writer.write_all(burst.as_bytes()).expect("pipeline frames");
-                    let mut line = String::new();
-                    for frame in 0..FRAMES {
-                        line.clear();
-                        reader.read_line(&mut line).expect("batch reply");
-                        let json = Json::parse(line.trim()).expect("reply parses");
-                        let Ok(Response::Batch(results)) = Response::from_json(&json) else {
-                            panic!("connection {connection} frame {frame}: {line}");
-                        };
-                        assert_eq!(
-                            results.len(),
-                            frame_len(frame),
-                            "connection {connection}: reply {frame} is out of order"
-                        );
-                        assert!(
-                            results
-                                .iter()
-                                .all(|r| matches!(r, BatchResult::Done { .. })),
-                            "connection {connection} frame {frame}: {line}"
-                        );
-                    }
-                    sent as u64
+    let ((sent, stats, metrics), run) = serving(&server(2), |addr| {
+        let sent = std::thread::scope(|scope| {
+            let connections: Vec<_> = (0..CONNECTIONS)
+                .map(|connection| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let sent: usize = (0..FRAMES).map(frame_len).sum();
+                        let mut ops = op_stream(sent, 60 + connection as u64).into_iter();
+                        let mut burst = String::new();
+                        for frame in 0..FRAMES {
+                            let chunk: Vec<Operation> =
+                                ops.by_ref().take(frame_len(frame)).collect();
+                            encode_batch_into(&chunk, &mut burst);
+                            burst.push('\n');
+                        }
+                        let raw = TcpStream::connect(addr).expect("raw connect");
+                        let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+                        let mut writer = raw;
+                        barrier.wait();
+                        writer.write_all(burst.as_bytes()).expect("pipeline frames");
+                        let mut line = String::new();
+                        for frame in 0..FRAMES {
+                            line.clear();
+                            reader.read_line(&mut line).expect("batch reply");
+                            let json = Json::parse(line.trim()).expect("reply parses");
+                            let Ok(Response::Batch(results)) = Response::from_json(&json) else {
+                                panic!("connection {connection} frame {frame}: {line}");
+                            };
+                            assert_eq!(
+                                results.len(),
+                                frame_len(frame),
+                                "connection {connection}: reply {frame} is out of order"
+                            );
+                            assert!(
+                                results
+                                    .iter()
+                                    .all(|r| matches!(r, BatchResult::Done { .. })),
+                                "connection {connection} frame {frame}: {line}"
+                            );
+                        }
+                        sent as u64
+                    })
                 })
-            })
-            .collect();
-        let sent: u64 = connections
-            .into_iter()
-            .map(|c| c.join().expect("connection thread"))
-            .sum();
-
+                .collect();
+            connections
+                .into_iter()
+                .map(|c| c.join().expect("connection thread"))
+                .sum::<u64>()
+        });
         let mut client = Client::connect(addr).expect("connect");
-        let stats = client.stats().expect("stats");
-        let metrics = client.metrics().expect("metrics");
-        client.shutdown().expect("shutdown");
-        let run = handle.join().expect("server thread");
-
-        assert_eq!(stats.operations, sent);
-        assert_eq!(run.operations, sent);
-        assert_eq!(counter(&metrics, "serve_ops_total"), stats.operations);
-        assert_eq!(stats.latency.count, sent);
-        assert_eq!(stats.shards.len(), 2);
-        for shard in &stats.shards {
-            assert!(shard.operations > 0, "shard {} got no ops", shard.shard);
-            assert_eq!(
-                shard.windows_closed,
-                shard.operations / WINDOW_OPS as u64,
-                "shard {} closed the wrong number of windows",
-                shard.shard
-            );
-            assert_eq!(
-                counter(
-                    &metrics,
-                    &format!("serve_ops_total{{shard=\"{}\"}}", shard.shard)
-                ),
-                shard.operations
-            );
-        }
-        assert_eq!(
-            stats.shards.iter().map(|s| s.operations).sum::<u64>(),
-            stats.operations
-        );
-        assert_eq!(
-            stats.shards.iter().map(|s| s.windows_closed).sum::<u64>(),
-            stats.windows_closed
-        );
-        assert_eq!(
-            stats.shards.iter().map(|s| s.latency.count).sum::<u64>(),
-            stats.latency.count
-        );
-        assert_eq!(
-            counter(&metrics, "serve_windows_closed_total"),
-            stats.windows_closed
-        );
+        (
+            sent,
+            client.stats().expect("stats"),
+            client.metrics().expect("metrics"),
+        )
     });
+    assert_eq!(stats.operations, sent);
+    assert_eq!(run.operations, sent);
+    assert_eq!(stats.latency.count, sent);
+    assert_eq!(stats.shards.len(), 2);
+    for shard in &stats.shards {
+        assert!(shard.operations > 0, "shard {} got no ops", shard.shard);
+        assert_eq!(
+            shard.windows_closed,
+            shard.operations / WINDOW_OPS as u64,
+            "shard {} closed the wrong number of windows",
+            shard.shard
+        );
+    }
+    assert_eq!(
+        stats.shards.iter().map(|s| s.operations).sum::<u64>(),
+        stats.operations
+    );
+    assert_eq!(
+        stats.shards.iter().map(|s| s.windows_closed).sum::<u64>(),
+        stats.windows_closed
+    );
+    assert_eq!(
+        stats.shards.iter().map(|s| s.latency.count).sum::<u64>(),
+        stats.latency.count
+    );
+    assert_metrics_match_stats(&metrics, &stats);
 }
