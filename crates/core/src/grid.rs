@@ -185,6 +185,71 @@ mod tests {
         );
     }
 
+    /// A [`mix64`] fold of every field's bits, samples included.
+    fn result_fold(r: &BenchmarkResult) -> u64 {
+        let mut words = vec![
+            r.total_ops,
+            r.read_ops,
+            r.write_ops,
+            r.duration_secs.to_bits(),
+            r.avg_ops_per_sec.to_bits(),
+            r.mean_latency_ms.to_bits(),
+            r.p99_latency_ms.to_bits(),
+            r.samples.len() as u64,
+        ];
+        for s in &r.samples {
+            words.extend([s.time_secs.to_bits(), s.ops_per_sec.to_bits()]);
+        }
+        words.into_iter().fold(0, |h, w| mix64(h ^ w))
+    }
+
+    #[test]
+    fn grid_results_match_their_golden_folds() {
+        // Pins the engine's simulated clock end to end: the default
+        // size-tiered layout, the leveled layout, the smallest file
+        // cache and a disabled key cache, each at its own read ratio.
+        let ctx = EvalContext::small();
+        let points: Vec<GridPoint> = vec![
+            (0.5, EngineConfig::default()),
+            (
+                0.9,
+                EngineConfig {
+                    compaction_method: rafiki_engine::CompactionMethod::Leveled,
+                    ..EngineConfig::default()
+                },
+            ),
+            (
+                0.1,
+                EngineConfig {
+                    file_cache_size_mb: 32,
+                    ..EngineConfig::default()
+                },
+            ),
+            (
+                0.7,
+                EngineConfig {
+                    key_cache_size_mb: 0,
+                    ..EngineConfig::default()
+                },
+            ),
+        ];
+        let folds: Vec<u64> = ctx
+            .run_grid_sequential(&points)
+            .iter()
+            .map(result_fold)
+            .collect();
+        assert_eq!(
+            folds,
+            [
+                0xd4ee_56eb_7879_652c,
+                0xd004_d09a_9fbb_556f,
+                0xb48d_af1f_b486_016a,
+                0x31af_db72_f884_fb78,
+            ],
+            "a grid point's result diverged: {folds:#018x?}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "worker panicked")]
     fn worker_death_mid_grid_propagates() {

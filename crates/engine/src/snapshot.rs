@@ -19,7 +19,7 @@ use crate::config::CompactionMethod;
 use crate::fasthash::FastHashMap;
 use crate::store::{Row, SsTable, TableSet};
 use rafiki_workload::Key;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The preload-layout inputs: two engines whose keys match are
 /// guaranteed byte-identical preloaded table sets.
@@ -111,14 +111,16 @@ pub(crate) fn build_preload_base<F: Fn(u64) -> bool>(
 /// built base.
 ///
 /// Thread-safe: grid workers on different threads hydrate from the same
-/// snapshot concurrently; the first to need a layout builds it under the
-/// lock (the build is deterministic, so who wins the race is
-/// unobservable).
+/// snapshot concurrently. The map lock is held only to find a layout's
+/// slot; the first worker to need a layout builds it in that slot,
+/// outside the lock, while workers that need the same layout wait on
+/// the slot and workers that need another layout go ahead (the build is
+/// deterministic, so who wins the race is unobservable).
 #[derive(Debug)]
 pub struct EngineSnapshot {
     keys: u64,
     payload_len: u32,
-    variants: Mutex<FastHashMap<SnapshotKey, Arc<PreloadBase>>>,
+    variants: Mutex<FastHashMap<SnapshotKey, Arc<OnceLock<Arc<PreloadBase>>>>>,
 }
 
 impl EngineSnapshot {
@@ -150,20 +152,27 @@ impl EngineSnapshot {
 
     /// Number of distinct preload layouts built so far.
     pub fn variant_count(&self) -> usize {
-        self.variants.lock().expect("snapshot lock").len()
+        let variants = self.variants.lock().expect("snapshot lock");
+        variants
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// The built base for `sig`, building it on first use.
     pub(crate) fn base_for(&self, sig: SnapshotKey) -> Arc<PreloadBase> {
-        let mut variants = self.variants.lock().expect("snapshot lock");
-        variants
-            .entry(sig)
-            .or_insert_with(|| {
-                Arc::new(build_preload_base(self.keys, self.payload_len, sig, |_| {
-                    true
-                }))
-            })
-            .clone()
+        let slot = Arc::clone(
+            self.variants
+                .lock()
+                .expect("snapshot lock")
+                .entry(sig)
+                .or_default(),
+        );
+        Arc::clone(slot.get_or_init(|| {
+            Arc::new(build_preload_base(self.keys, self.payload_len, sig, |_| {
+                true
+            }))
+        }))
     }
 }
 
@@ -191,6 +200,26 @@ mod tests {
         let c = snap.base_for(sig(CompactionMethod::Leveled));
         assert_eq!(snap.variant_count(), 2);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn concurrent_workers_build_each_layout_once() {
+        // Two workers ask for both layouts in opposite orders, so each
+        // layout's first request can overlap the other layout's build.
+        let snap = &EngineSnapshot::new(20_000, 200);
+        let (stcs, lcs) = (
+            sig(CompactionMethod::SizeTiered),
+            sig(CompactionMethod::Leveled),
+        );
+        let [a, b] = std::thread::scope(|s| {
+            [[stcs, lcs], [lcs, stcs]]
+                .map(|order| s.spawn(move || order.map(|k| snap.base_for(k))))
+                .map(|worker| worker.join().expect("worker"))
+        });
+        assert_eq!(snap.variant_count(), 2);
+        assert!(Arc::ptr_eq(&a[0], &b[1]), "size-tiered layout built twice");
+        assert!(Arc::ptr_eq(&a[1], &b[0]), "leveled layout built twice");
+        assert!(!Arc::ptr_eq(&a[0], &a[1]));
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! touches are the single hottest operation in the simulation (several
 //! per simulated read), so hashing cost dominates here.
 //!
+//! Capacity is a bound, not a reservation: the index and the slab start
+//! empty and grow (amortised doubling) with what the cache holds. The
+//! caches are sized in entries from megabyte knobs — the default key
+//! cache admits 1.6 M entries — and a short simulation fills a small
+//! fraction of that, so reserving the bound up front would allocate and
+//! fault in tens of MiB per engine that no simulated operation touches.
+//! Growth never changes which entry is evicted: the order lives in the
+//! linked list, not in the index.
+//!
 //! The replacement policy is selectable ([`EvictionPolicy`]): LRU is the
 //! default and what every cache used before the policy became a tunable;
 //! FIFO skips the promote-on-hit, and Clock gives referenced entries one
@@ -55,7 +64,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache with an explicit eviction policy.
     pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> Self {
         LruCache {
-            map: FastHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
+            map: FastHashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -438,6 +447,19 @@ mod tests {
     fn default_policy_is_lru() {
         let c: LruCache<u64, ()> = LruCache::new(4);
         assert_eq!(c.policy(), EvictionPolicy::Lru);
+    }
+
+    #[test]
+    fn capacity_reserves_nothing_before_the_first_insert() {
+        let mut c: LruCache<u64, u32> = LruCache::new(1 << 24);
+        assert_eq!((c.map.capacity(), c.slab.capacity()), (0, 0));
+        c.insert(7, 1);
+        assert!(
+            c.map.capacity() < 1 << 10,
+            "index grew to {}",
+            c.map.capacity()
+        );
+        assert_eq!(c.peek(&7), Some(&1));
     }
 
     #[test]

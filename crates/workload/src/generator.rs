@@ -8,7 +8,8 @@ use crate::op::{Key, Operation, OperationSource};
 use rafiki_stats::dist::Exponential;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Payload-size model for write operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +122,21 @@ impl WorkloadSpec {
 /// Maximum number of pending scheduled reuses.
 const SCHEDULE_CAP: usize = 1 << 20;
 
+/// Pending reuses a long stream settles at: each operation schedules
+/// one with probability `reuse_probability`, and it stays pending for
+/// `krd_mean` operations on average (Little's law), capped at
+/// [`SCHEDULE_CAP`].
+///
+/// The schedule is reserved at this size rather than grown from empty.
+/// Growth by doubling copies the heap at every step, and each
+/// reallocation stays in the allocator arena of the first small block,
+/// which on the calling thread may be a block freed there by another
+/// thread; the buffer's placement then depends on thread scheduling.
+/// Capacity the schedule never fills is never touched.
+fn steady_schedule_len(spec: &WorkloadSpec) -> usize {
+    ((spec.reuse_probability * spec.krd_mean).ceil() as usize).min(SCHEDULE_CAP)
+}
+
 /// A deterministic operation generator honouring a [`WorkloadSpec`].
 ///
 /// Key selection works by *scheduling reuses*: whenever a key is accessed,
@@ -135,11 +151,16 @@ pub struct WorkloadGenerator {
     spec: WorkloadSpec,
     krd: Exponential,
     rng: StdRng,
-    /// Scheduled future accesses: operation index -> keys due at or after
-    /// that index. Multiple keys may fall due at the same index; they are
-    /// consumed one per read/update in FIFO order.
-    scheduled: BTreeMap<u64, Vec<Key>>,
-    scheduled_len: usize,
+    /// Scheduled future accesses as a min-heap of `(due index, seq,
+    /// key)`: the key is due at or after that operation index. `seq`
+    /// numbers the reuses in the order they were scheduled, so several
+    /// keys due at the same index are consumed one per read/update in
+    /// FIFO order. One flat allocation, reserved at its steady-state
+    /// size (see [`steady_schedule_len`]), so scheduling and consuming a
+    /// reuse allocate nothing until the schedule outgrows it.
+    scheduled: BinaryHeap<Reverse<(u64, u64, Key)>>,
+    /// Reuses scheduled so far: the next `seq`.
+    scheduled_seq: u64,
     next_key: u64,
     issued: u64,
 }
@@ -156,8 +177,8 @@ impl WorkloadGenerator {
             spec,
             krd: Exponential::new(1.0 / spec.krd_mean).expect("validated krd_mean"),
             rng: StdRng::seed_from_u64(seed),
-            scheduled: BTreeMap::new(),
-            scheduled_len: 0,
+            scheduled: BinaryHeap::with_capacity(steady_schedule_len(&spec)),
+            scheduled_seq: 0,
             next_key: spec.initial_keys,
             issued: 0,
         }
@@ -179,14 +200,9 @@ impl WorkloadGenerator {
     }
 
     fn pick_existing_key(&mut self) -> Key {
-        if let Some(mut entry) = self.scheduled.first_entry() {
-            if *entry.key() <= self.issued {
-                let keys = entry.get_mut();
-                let key = keys.remove(0);
-                if keys.is_empty() {
-                    entry.remove();
-                }
-                self.scheduled_len -= 1;
+        if let Some(&Reverse((due, _, key))) = self.scheduled.peek() {
+            if due <= self.issued {
+                self.scheduled.pop();
                 return key;
             }
         }
@@ -194,7 +210,7 @@ impl WorkloadGenerator {
     }
 
     fn schedule_reuse(&mut self, key: Key) {
-        if self.scheduled_len >= SCHEDULE_CAP || !self.rng.gen_bool(self.spec.reuse_probability) {
+        if self.scheduled.len() >= SCHEDULE_CAP || !self.rng.gen_bool(self.spec.reuse_probability) {
             return;
         }
         let d = self
@@ -202,8 +218,9 @@ impl WorkloadGenerator {
             .sample_from_uniform(self.rng.gen::<f64>())
             .round()
             .max(1.0) as u64;
-        self.scheduled.entry(self.issued + d).or_default().push(key);
-        self.scheduled_len += 1;
+        self.scheduled
+            .push(Reverse((self.issued + d, self.scheduled_seq, key)));
+        self.scheduled_seq += 1;
     }
 }
 
@@ -342,6 +359,68 @@ mod tests {
         for _ in 0..1_000 {
             let op = gen.next_op();
             assert!(op.key.0 < 100);
+        }
+    }
+
+    /// A [`rafiki_stats::mix64`] fold of `(kind, key, payload_len)` over
+    /// the first `n` operations, and the largest number of reuses that
+    /// were pending at once.
+    fn stream_fold(spec: WorkloadSpec, seed: u64, n: usize) -> (u64, usize) {
+        let mut gen = WorkloadGenerator::new(spec, seed);
+        let (mut h, mut peak) = (0u64, 0usize);
+        for _ in 0..n {
+            let op = gen.next_op();
+            for word in [op.kind as u64, op.key.0, op.payload_len as u64] {
+                h = rafiki_stats::mix64(h ^ word);
+            }
+            peak = peak.max(gen.scheduled.len());
+        }
+        (h, peak)
+    }
+
+    #[test]
+    fn schedule_is_reserved_at_its_steady_state_size() {
+        // Default spec: p 0.5 x KRD mean 200,000 = 100,000 pending
+        // reuses. A stream that stays below that never reallocates.
+        let mut gen = WorkloadGenerator::new(WorkloadSpec::with_read_ratio(0.5), 3);
+        let reserved = gen.scheduled.capacity();
+        assert!(reserved >= 100_000, "reserved {reserved}");
+        for _ in 0..100_000 {
+            gen.next_op();
+        }
+        assert!(gen.scheduled.len() > 10_000);
+        assert_eq!(gen.scheduled.capacity(), reserved, "the schedule grew");
+    }
+
+    #[test]
+    fn op_streams_match_their_golden_folds() {
+        // Pinned op streams: any change to how reuses are scheduled or
+        // consumed — including the FIFO order among reuses due at the
+        // same index — changes a fold. The cases cover the default
+        // spec, dense same-index collisions (reuse probability 1 at a
+        // KRD of 4 and of 1), and a KRD long enough that the schedule
+        // fills to `SCHEDULE_CAP` and further reuses are dropped.
+        let dense = |krd_mean, read_ratio| WorkloadSpec {
+            krd_mean,
+            reuse_probability: 1.0,
+            ..WorkloadSpec::with_read_ratio(read_ratio)
+        };
+        let cases = [
+            (
+                WorkloadSpec::with_read_ratio(0.5),
+                200_000,
+                0xf848_4640_0f1d_e1fd,
+            ),
+            (dense(4.0, 0.5), 200_000, 0x1b85_e883_a566_96df),
+            (dense(1.0, 1.0), 200_000, 0x0f7b_446a_9c88_484d),
+            (dense(5e6, 0.5), 1_300_000, 0x41a1_5a7e_5bb3_8c77),
+        ];
+        for (i, &(spec, n, want)) in cases.iter().enumerate() {
+            let (fold, peak) = stream_fold(spec, 20_171_211, n);
+            assert_eq!(fold, want, "case {i}: op stream diverged ({fold:#018x})");
+            if i == 3 {
+                assert_eq!(peak, SCHEDULE_CAP, "case 3 must fill the schedule");
+            }
         }
     }
 
