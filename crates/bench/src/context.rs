@@ -32,7 +32,7 @@ pub fn experiment_context() -> EvalContext {
     }
 }
 
-/// A faster context for smoke-testing the binaries.
+/// A faster context for `--quick` smoke runs of the experiments.
 pub fn quick_context() -> EvalContext {
     let preload_keys = 30_000;
     EvalContext {

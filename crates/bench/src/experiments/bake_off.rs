@@ -25,6 +25,7 @@ use rafiki_search::{
     BestConfigConfig, BestConfigSearch, GaConfig, GaSearch, LatentConfig, LatentSearch,
     RandomSearch, SearchStrategy,
 };
+use rafiki_serve::wire::Json;
 
 /// The four contestants, in record order.
 pub const STRATEGIES: &[&str] = &["ga", "bestconfig", "latent", "random"];
@@ -92,7 +93,15 @@ pub fn bakeoff_budget(quick: bool) -> usize {
     population * (generations + 1) + 1
 }
 
-/// Runs the bake-off and regenerates `BENCH_bakeoff.json`.
+/// `x` rounded to `places` decimals, as the record stores it.
+fn round_to(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
+}
+
+/// Runs the bake-off and writes `BENCH_bakeoff.json` under
+/// `target/experiments/`; a full run (not `quick`) also refreshes the
+/// committed copy at the repository root.
 pub fn run(quick: bool) -> Vec<Finding> {
     let ctx = if quick {
         crate::quick_context()
@@ -166,50 +175,58 @@ pub fn run(quick: bool) -> Vec<Finding> {
     }
 
     // Assemble the record, one entry per strategy with per-workload cells.
-    let mut json = String::from(
-        "{\n  \"experiment\": \"bake_off\",\n  \"units\": \"ops_per_sec\",\n  \"measured\": true,\n",
-    );
-    json.push_str(&format!(
-        "  \"space_dims\": {},\n  \"budget\": {budget},\n  \"seed\": {seed},\n",
-        space.dims()
-    ));
-    json.push_str("  \"default\": [\n");
-    for (i, (rr, ops)) in defaults.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"read_ratio\": {rr}, \"ops_per_sec\": {ops:.1}}}{}\n",
-            if i + 1 < defaults.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"strategies\": [\n");
-    for (si, &name) in STRATEGIES.iter().enumerate() {
-        let cells: Vec<&StrategyRun> = runs.iter().filter(|r| r.name == name).collect();
-        let mean_ops = cells.iter().map(|r| r.ops_per_sec).sum::<f64>() / cells.len() as f64;
-        let calls: usize = cells.iter().map(|r| r.surrogate_calls).sum();
-        json.push_str(&format!(
-            "    {{\"strategy\": \"{name}\", \"surrogate_calls\": {calls}, \
-             \"mean_ops_per_sec\": {mean_ops:.1}, \"cells\": [\n"
-        ));
-        for (ci, r) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"read_ratio\": {}, \"predicted\": {:.1}, \"ops_per_sec\": {:.1}, \
-                 \"surrogate_calls\": {}, \"batches\": {}, \"search_secs\": {:.3}}}{}\n",
-                r.read_ratio,
-                r.predicted,
-                r.ops_per_sec,
-                r.surrogate_calls,
-                r.batches,
-                r.search_secs,
-                if ci + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str(&format!(
-            "    ]}}{}\n",
-            if si + 1 < STRATEGIES.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let default_cells = defaults
+        .iter()
+        .map(|&(rr, ops)| {
+            Json::obj(vec![
+                ("read_ratio", Json::Num(rr)),
+                ("ops_per_sec", Json::Num(round_to(ops, 1))),
+            ])
+        })
+        .collect();
+    let strategies = STRATEGIES
+        .iter()
+        .map(|&name| {
+            let cells: Vec<&StrategyRun> = runs.iter().filter(|r| r.name == name).collect();
+            let mean_ops = cells.iter().map(|r| r.ops_per_sec).sum::<f64>() / cells.len() as f64;
+            let calls: usize = cells.iter().map(|r| r.surrogate_calls).sum();
+            let cells = cells
+                .iter()
+                .map(|r| {
+                    Json::obj(vec![
+                        ("read_ratio", Json::Num(r.read_ratio)),
+                        ("predicted", Json::Num(round_to(r.predicted, 1))),
+                        ("ops_per_sec", Json::Num(round_to(r.ops_per_sec, 1))),
+                        ("surrogate_calls", Json::Num(r.surrogate_calls as f64)),
+                        ("batches", Json::Num(r.batches as f64)),
+                        ("search_secs", Json::Num(round_to(r.search_secs, 3))),
+                    ])
+                })
+                .collect();
+            Json::obj(vec![
+                ("strategy", Json::str(name)),
+                ("surrogate_calls", Json::Num(calls as f64)),
+                ("mean_ops_per_sec", Json::Num(round_to(mean_ops, 1))),
+                ("cells", Json::Arr(cells)),
+            ])
+        })
+        .collect();
+    let record = Json::obj(vec![
+        ("experiment", Json::str("bake_off")),
+        ("units", Json::str("ops_per_sec")),
+        ("measured", Json::Bool(true)),
+        ("space_dims", Json::Num(space.dims() as f64)),
+        ("budget", Json::Num(budget as f64)),
+        ("seed", Json::Num(seed as f64)),
+        ("default", Json::Arr(default_cells)),
+        ("strategies", Json::Arr(strategies)),
+    ]);
+    let json = record.encode() + "\n";
     crate::write_output("BENCH_bakeoff.json", &json);
-    crate::write_repo_root("BENCH_bakeoff.json", &json);
+    // Only a full run may refresh the committed record.
+    if !quick {
+        crate::write_repo_root("BENCH_bakeoff.json", &json);
+    }
 
     let mut findings = Vec::new();
     for &name in STRATEGIES {

@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: the key-parameter search space, dataset
-//! caching (so independent binaries don't re-collect the same 220 points),
-//! surrogate settings, and coarse configuration grids for the exhaustive
+//! caching (so independent experiment runs don't re-collect the same 220
+//! points), surrogate settings, and coarse configuration grids for the exhaustive
 //! baselines.
 
 use rafiki::{CollectionPlan, ConfigSearchSpace, EvalContext, PerfDataset, PerfSample};
@@ -93,7 +93,7 @@ pub fn paper_surrogate_config(quick: bool) -> SurrogateConfig {
 
 /// MAPE (%) of any [`Surrogate`] on a held-out dataset, computed through
 /// the batched trait path (one matrix pass per model). The ablation
-/// binaries evaluate every model family through this one helper, so no
+/// experiments evaluate every model family through this one helper, so no
 /// per-model code is left at call sites.
 pub fn surrogate_mape(model: &dyn Surrogate, test: &Dataset) -> f64 {
     rafiki_neural::surrogate::evaluate_on(model, test).mape

@@ -1,13 +1,16 @@
-//! Shared infrastructure for the experiment binaries: experiment-scale
-//! evaluation contexts, result tables, and simple file output.
+//! The paper's experiments and the benchmark-record gate behind the
+//! `rafiki-bench` binary: experiment-scale evaluation contexts, result
+//! tables, and simple file output.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper; `run_all_experiments` chains them and rewrites the measured
-//! columns of `EXPERIMENTS.md`. Output files land in `target/experiments/`.
+//! Every module in [`experiments`] regenerates one table or figure of
+//! the paper (or an ablation); `rafiki-bench all` chains them into
+//! `EXPERIMENTS_RESULTS.md`, and [`check`] gates the committed
+//! `BENCH_*.json` records. Output files land in `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod check;
 pub mod context;
 pub mod experiments;
 pub mod output;

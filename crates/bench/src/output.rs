@@ -51,21 +51,28 @@ pub fn write_output(name: &str, contents: &str) -> PathBuf {
     path
 }
 
+/// The repository root, located from the crate's own manifest directory
+/// so it resolves from any working directory.
+///
+/// # Panics
+///
+/// Panics when the root cannot be resolved.
+pub(crate) fn repo_root() -> PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("resolve repository root")
+}
+
 /// Writes a committed benchmark record (`BENCH_bakeoff.json`) at the
-/// repository root, locating the root from the crate's own manifest
-/// directory so the refresh works from any working directory — not only
-/// workspace-root invocations.
+/// repository root.
 ///
 /// # Panics
 ///
 /// Panics when the root cannot be resolved or the file cannot be
 /// written: a stale committed record is worse than a loud failure.
 pub fn write_repo_root(name: &str, contents: &str) -> PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("resolve repository root");
-    let path = root.join(name);
+    let path = repo_root().join(name);
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("refresh {}: {e}", path.display()));
     println!("[output] {}", path.display());
     path

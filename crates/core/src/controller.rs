@@ -23,11 +23,6 @@ pub struct ControllerConfig {
     /// Minimum predicted relative improvement over the active
     /// configuration required to actually switch (switching has a cost).
     pub min_predicted_gain: f64,
-    /// Fraction of one window's throughput lost when reconfiguring (the
-    /// restart/settle cost; the paper leaves live reconfiguration to
-    /// future work). **Declared, not yet charged:** nothing reads this
-    /// field — the switch rule is `gain >= min_predicted_gain` alone.
-    pub reconfiguration_penalty: f64,
     /// Proactive mode (the paper's future-work §6 extension): learn a
     /// regime-Markov workload forecaster online and tune for the
     /// *predicted next* window instead of the current one.
@@ -39,7 +34,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             rr_change_threshold: 0.15,
             min_predicted_gain: 0.02,
-            reconfiguration_penalty: 0.05,
             proactive: false,
         }
     }

@@ -62,11 +62,6 @@ impl PerfDataset {
         rafiki_neural::Dataset::from_rows(&rows, targets)
     }
 
-    /// Group key for "unseen configuration" splits.
-    pub fn config_group_of(row_index: usize, samples: &[PerfSample]) -> usize {
-        samples[row_index].config_index
-    }
-
     /// The best sample for a given read ratio (within `tol`).
     pub fn best_for(&self, read_ratio: f64, tol: f64) -> Option<&PerfSample> {
         self.samples

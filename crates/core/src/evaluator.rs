@@ -4,7 +4,6 @@
 //! data-collection phase and that exhaustive search queries directly.
 
 use rafiki_engine::{run_benchmark, Engine, EngineConfig, EngineSnapshot, ServerSpec};
-use rafiki_stats::parallel_indexed;
 use rafiki_workload::{BenchmarkResult, BenchmarkSpec, WorkloadGenerator, WorkloadSpec};
 
 /// Which datastore flavor to benchmark.
@@ -151,62 +150,18 @@ impl EvalContext {
     pub fn measure(&self, read_ratio: f64, cfg: &EngineConfig) -> f64 {
         self.measure_detailed(read_ratio, cfg).avg_ops_per_sec
     }
-
-    /// Runs one benchmark and scores it with an arbitrary DBA-selected
-    /// metric (§3.8 item 1; always oriented so larger is better).
-    pub fn measure_metric(
-        &self,
-        metric: crate::dba::PerformanceMetric,
-        read_ratio: f64,
-        cfg: &EngineConfig,
-    ) -> f64 {
-        metric.score(&self.measure_detailed(read_ratio, cfg))
-    }
-
-    /// Measures many points in parallel across OS threads (each engine is
-    /// an independent deterministic simulation, so results are identical
-    /// to the sequential order). All points share the context seed — use
-    /// [`crate::grid`]'s `run_grid` for independent per-point seeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a measurement worker panics (the panic is surfaced
-    /// as an error by [`rafiki_stats::parallel_indexed`], not a
-    /// poisoned-lock abort).
-    pub fn measure_many(&self, points: &[(f64, EngineConfig)]) -> Vec<f64> {
-        let snap = self.snapshot();
-        parallel_indexed(points.len(), |i| {
-            let (rr, cfg) = &points[i];
-            self.measure_detailed_seeded_snapshot(*rr, cfg, self.seed.wrapping_add(1), Some(&snap))
-                .avg_ops_per_sec
-        })
-        .expect("measurement worker panicked")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rafiki_stats::parallel_indexed;
 
     #[test]
     fn measure_is_deterministic() {
         let ctx = EvalContext::small();
         let cfg = EngineConfig::default();
         assert_eq!(ctx.measure(0.5, &cfg), ctx.measure(0.5, &cfg));
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let ctx = EvalContext::small();
-        let cfg = EngineConfig::default();
-        let points: Vec<(f64, EngineConfig)> = [0.0, 0.5, 1.0]
-            .iter()
-            .map(|&rr| (rr, cfg.clone()))
-            .collect();
-        let parallel = ctx.measure_many(&points);
-        for (i, &(rr, _)) in points.iter().enumerate() {
-            assert_eq!(parallel[i], ctx.measure(rr, &cfg));
-        }
     }
 
     #[test]

@@ -82,16 +82,6 @@ impl EngineMetrics {
             self.candidates_probed as f64 / self.reads_completed as f64
         }
     }
-
-    /// File-cache hit rate over block fetches.
-    pub fn file_cache_hit_rate(&self) -> f64 {
-        let total = self.file_cache_hits + self.file_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.file_cache_hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -326,9 +326,9 @@ impl Engine {
     /// - the read/write worker pools are resized;
     /// - caches whose capacity changed are rebuilt **cold** (unchanged
     ///   caches keep their contents). That is a real settle cost on the
-    ///   simulated clock, but nothing charges it to the switch decision
-    ///   yet: the controller's `reconfiguration_penalty` is read nowhere
-    ///   (ROADMAP.md item 2, "A switching cost that is actually charged");
+    ///   simulated clock, but switching is not charged for it: the
+    ///   controller's switch rule is its predicted gain alone (ROADMAP.md
+    ///   item 2, "A switching cost that is actually charged");
     /// - the commit log is recreated under the new sync policy when any
     ///   commit-log parameter changed.
     ///
@@ -432,11 +432,6 @@ impl Engine {
     /// Logical bytes frozen and waiting for (or undergoing) flush.
     pub fn frozen_bytes(&self) -> u64 {
         self.frozen_bytes
-    }
-
-    /// Number of active background compaction jobs.
-    pub fn active_compactions(&self) -> usize {
-        self.compaction_runs.len()
     }
 
     /// Installs the ScyllaDB-like auto-tuner and schedules its first tick.

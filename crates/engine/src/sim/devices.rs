@@ -151,11 +151,6 @@ impl WorkerPool {
         self.free_at[worker] = end;
         (start, end)
     }
-
-    /// Earliest time any worker becomes free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.free_at.iter().min().expect("non-empty pool")
-    }
 }
 
 /// CPU contention model: when the number of runnable threads exceeds the

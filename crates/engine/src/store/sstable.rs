@@ -211,11 +211,6 @@ impl SsTable {
         self.core.rows.iter()
     }
 
-    /// Bloom filter memory footprint in bytes.
-    pub fn bloom_bytes(&self) -> usize {
-        self.core.bloom.byte_len()
-    }
-
     /// The largest write stamp in this table (its "age" for time-window
     /// compaction: tables are bucketed by when their data was written).
     pub fn max_version(&self) -> u64 {

@@ -101,14 +101,6 @@ impl Network {
         self.input_dim
     }
 
-    /// Hidden layer sizes (excluding the output layer).
-    pub fn hidden_sizes(&self) -> Vec<usize> {
-        self.layers[..self.layers.len() - 1]
-            .iter()
-            .map(|l| l.out_dim)
-            .collect()
-    }
-
     /// Total number of trainable parameters (weights + biases).
     pub fn num_params(&self) -> usize {
         self.layers

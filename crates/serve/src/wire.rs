@@ -131,6 +131,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no NaN or infinity; they encode as `null`, as
+            // `obs::sink` writes them.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
                     let _ = write!(out, "{}", *n as i64);
@@ -516,6 +519,15 @@ mod tests {
             "\"bad \\q escape\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_encode_as_parseable_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Json::Arr(vec![Json::Num(n)]).encode();
+            assert_eq!(text, "[null]");
+            assert_eq!(Json::parse(&text), Ok(Json::Arr(vec![Json::Null])));
         }
     }
 

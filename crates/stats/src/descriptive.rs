@@ -171,15 +171,6 @@ impl Summary {
             max,
         })
     }
-
-    /// Coefficient of variation (`std_dev / mean`); `0` when the mean is 0.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 impl std::fmt::Display for Summary {

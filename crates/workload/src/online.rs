@@ -174,16 +174,6 @@ impl OnlineCharacterizer {
         self.window_ops
     }
 
-    /// Index of the window currently being filled.
-    pub fn current_window(&self) -> usize {
-        self.window_index
-    }
-
-    /// Operations observed in the window currently being filled.
-    pub fn window_fill(&self) -> usize {
-        self.window_seen
-    }
-
     /// Read ratio over the whole stream (0 before any operation).
     pub fn read_ratio(&self) -> f64 {
         if self.position == 0 {
